@@ -3,8 +3,10 @@
 Two interchangeable strategies execute a batch of
 :class:`~repro.runner.jobs.SimulationJob`\\ s:
 
-* :class:`SerialExecutor` — run in-process, in order.  Zero overhead, always
-  available; the default.
+* :class:`SerialExecutor` — run in-process through
+  :func:`~repro.runner.jobs.execute_jobs`.  Zero overhead, always
+  available; the default.  Under the ``vec`` engine it steps same-config
+  jobs together in one numpy batch, with byte-identical results.
 * :class:`ProcessExecutor` — fan the batch out over a
   :mod:`multiprocessing` pool.  Jobs and results are plain picklable values,
   and every job carries its own seed, so results are identical to a serial
@@ -22,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Protocol, Sequence
 
-from repro.runner.jobs import SimulationJob
+from repro.runner.jobs import SimulationJob, execute_jobs
 from repro.sim.engine import SimulationResult
 
 __all__ = [
@@ -88,10 +90,10 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """Execute jobs one after another in the calling process."""
+    """Execute jobs in the calling process (see :func:`execute_jobs`)."""
 
     def run(self, jobs: Sequence[SimulationJob]) -> List[SimulationResult]:
-        return [job.execute() for job in jobs]
+        return execute_jobs(jobs)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return "SerialExecutor()"
@@ -147,7 +149,7 @@ class ProcessExecutor:
     def run(self, jobs: Sequence[SimulationJob]) -> List[SimulationResult]:
         jobs = list(jobs)
         if len(jobs) < 2 or self.processes < 2:
-            return [job.execute() for job in jobs]
+            return execute_jobs(jobs)
         workers = min(self.processes, len(jobs))
         chunksize = self.chunksize
         if chunksize is None:

@@ -26,10 +26,15 @@ from repro.sim.bandwidth import (
 )
 from repro.sim.behavior import PeerBehavior
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimulationResult, simulate
+from repro.sim.engine import SimulationResult, default_engine, simulate
 from repro.sim.metrics import PeerRecord
 
-__all__ = ["SimulationJob", "result_to_payload", "result_from_payload"]
+__all__ = [
+    "SimulationJob",
+    "execute_jobs",
+    "result_to_payload",
+    "result_from_payload",
+]
 
 #: Bump when the cached result payload layout changes.
 RESULT_PAYLOAD_VERSION = 1
@@ -145,6 +150,67 @@ class SimulationJob:
         return simulate(
             self.config, list(self.behaviors), groups=self.groups, seed=self.seed
         )
+
+
+# ---------------------------------------------------------------------- #
+# batch execution
+# ---------------------------------------------------------------------- #
+#: Most peers one vec batch steps at once (simulations x peers each).
+#: Sits at or past the knee of the per-simulation cost curve measured by
+#: ``benchmarks/vec_batch_curve.py`` (40 rounds; 2-vCPU x86_64, Python
+#: 3.11, numpy 2.4), in ms per simulation by total peers in the batch:
+#:
+#:   peers per simulation    alone   1024 peers   ~2048   ~4096
+#:   16                       18.8          5.3     5.0     5.0
+#:   50                       35.3          9.0     7.9     6.7
+#:   200                      46.2         26.2    21.6    18.8
+#:
+#: and flat to 12800 peers.  Past the knee the per-simulation random draws
+#: (one generator call per simulation per draw site) dominate, so larger
+#: batches only hold more state, which grows linearly in peers.  Sizes
+#: other than these three are interpolated, not measured.
+VEC_BATCH_PEERS = 4096
+
+
+def execute_jobs(jobs: Sequence[SimulationJob]) -> List[object]:
+    """Execute ``jobs`` in this process; results in job order.
+
+    Returns exactly what ``[job.execute() for job in jobs]`` returns, and
+    runs just that for every engine but ``vec``.  Under ``vec`` (resolved
+    as :func:`simulate` resolves it, through
+    :func:`~repro.sim.engine.default_engine`), fixed-population
+    :class:`SimulationJob`\\ s of equal config are stepped together in
+    :meth:`~repro.sim.population_vec.VecSimulation.batch` batches of at
+    most :data:`VEC_BATCH_PEERS` peers.  Every batched result is
+    byte-identical to the job's own ``execute()``, so batching never
+    changes what a fingerprint maps to.
+    """
+    jobs = list(jobs)
+    if default_engine() != "vec":
+        return [job.execute() for job in jobs]
+    from repro.sim.population_vec import VecSimulation
+
+    results: List[object] = [None] * len(jobs)
+    batches: Dict[SimulationConfig, List[int]] = {}
+    for index, job in enumerate(jobs):
+        if isinstance(job, SimulationJob) and not job.config.is_variable_population:
+            batches.setdefault(job.config, []).append(index)
+        else:
+            results[index] = job.execute()
+    for config, indices in batches.items():
+        per_batch = max(1, VEC_BATCH_PEERS // config.n_peers)
+        count = -(-len(indices) // per_batch)  # batches, split evenly
+        for part in range(count):
+            lo = part * len(indices) // count
+            chunk = indices[lo:(part + 1) * len(indices) // count]
+            members = [
+                (list(jobs[i].behaviors), jobs[i].groups, jobs[i].seed)
+                for i in chunk
+            ]
+            batch = VecSimulation.batch(config, members).run_all()
+            for index, result in zip(chunk, batch):
+                results[index] = result
+    return results
 
 
 # ---------------------------------------------------------------------- #

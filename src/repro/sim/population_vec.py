@@ -23,10 +23,29 @@ and sampling randomness differ.  The contract is enforced by the
 tolerances) between ``vec`` and ``fast`` across the whole scenario
 registry, with pinned thresholds that fail loudly on drift.
 
-Because the engine choice never changes the modelled process, it is kept
-out of job cache fingerprints — a cached ``fast`` result is a valid answer
-for a ``vec`` request and vice versa (both are draws from the same
-distribution; per-seed reproducibility holds within one engine).
+Job cache fingerprints do not include the engine, so the result cache
+does not tell engines apart: a cache warmed under ``vec`` answers later
+``fast`` (or ``reference``) requests for the same job with the *vec*
+draws, and vice versa.  Both are draws from the same process, but they
+are not the bytes the other engine would compute — keep one cache
+directory per engine when per-seed replica identity matters.
+
+Batch axis
+----------
+One instance can step ``B`` independent simulations of one fixed-
+population config at once (:meth:`VecSimulation.batch`).  They share one
+set of state arrays: simulation ``b`` owns the peer ids
+``[b*n, (b+1)*n)``, and every candidate, stranger, discovery and request
+target stays inside its own id range, so the simulations never interact.
+Each simulation keeps the random streams of its own seed, and every
+sampling site draws each simulation's slice from that simulation's
+streams in the order a solo run draws it — a single run is simply a batch
+of one, and every batched result is **byte-identical** to the result of
+running that simulation alone, whatever it was batched with.  The batch
+amortises numpy's per-call overhead, which dominates at the paper's
+small swarm sizes (16-50 peers); :func:`repro.runner.jobs.execute_jobs`
+forms the batches.  Variable-population configs run one simulation per
+instance.
 
 State layout
 ------------
@@ -135,6 +154,20 @@ def _group_offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
+#: One simulation of a batch: ``(behaviors, groups, seed)`` with the same
+#: broadcast conventions as :class:`VecSimulation`'s constructor.
+BatchMember = Tuple[Sequence[PeerBehavior], Optional[Sequence[str]], Optional[int]]
+
+
+def _broadcast(values: Sequence, n: int, what: str) -> list:
+    values = list(values)
+    if len(values) == 1:
+        values = values * n
+    if len(values) != n:
+        raise ValueError(f"expected 1 or {n} {what}, got {len(values)}")
+    return values
+
+
 class VecSimulation:
     """One simulation run executed as whole-round numpy batch operations.
 
@@ -146,6 +179,10 @@ class VecSimulation:
     are bit-reproducible per seed *within this engine*, but not against the
     replica engines; see the module docstring), and ``profile`` accumulates
     wall-clock per-phase timings in ``phase_seconds``.
+
+    :meth:`batch` builds an instance that steps several same-config
+    simulations together; :meth:`run_all` returns their results in member
+    order, each byte-identical to a solo run of that member.
     """
 
     def __init__(
@@ -156,38 +193,66 @@ class VecSimulation:
         seed: Optional[int] = None,
         profile: bool = False,
     ):
+        self._setup(config, [(behaviors, groups, seed)], profile)
+
+    @classmethod
+    def batch(
+        cls,
+        config: SimulationConfig,
+        members: Sequence[BatchMember],
+    ) -> "VecSimulation":
+        """An instance stepping one simulation per member in lockstep.
+
+        Batches of more than one member need a fixed-population config
+        (the variable-population id space grows per simulation).
+        """
+        simulation = cls.__new__(cls)
+        simulation._setup(config, list(members), False)
+        return simulation
+
+    def _setup(
+        self,
+        config: SimulationConfig,
+        members: List[BatchMember],
+        profile: bool,
+    ) -> None:
+        if not members:
+            raise ValueError("a batch needs at least one simulation")
         self.config = config
         self._variable = config.is_variable_population
+        if self._variable and len(members) > 1:
+            raise ValueError(
+                "variable-population configs run one simulation per instance"
+            )
         self._population = config.population if self._variable else None
         dynamics = config.dynamics
         if dynamics is not None and dynamics.is_trivial():
             dynamics = None
         self._dynamics = dynamics
 
-        self._rng = np.random.default_rng(seed)
+        n = config.n_peers
+        batch = len(members)
+        total = batch * n
+        #: Simulations stepped together; simulation ``b`` owns the ids (and,
+        #: since fixed-population ids never move, the active positions)
+        #: ``[b*n, (b+1)*n)``.
+        self._batch = batch
+        self._n = n
+        self._rngs = [np.random.default_rng(seed) for _, _, seed in members]
         # Capacity draws go through BandwidthDistribution.sample, which
         # expects a stdlib Random; an independent deterministic stream.
-        self._py_rng = random.Random(seed)
+        self._py_rngs = [random.Random(seed) for _, _, seed in members]
         self._distribution = config.distribution()
 
-        n = config.n_peers
-        behaviors = list(behaviors)
-        if len(behaviors) == 1:
-            behaviors = behaviors * n
-        if len(behaviors) != n:
-            raise ValueError(
-                f"expected 1 or {n} behaviors, got {len(behaviors)}"
+        member_behaviors = []
+        member_groups = []
+        for behaviors, groups, _ in members:
+            member_behaviors.append(_broadcast(behaviors, n, "behaviors"))
+            member_groups.append(
+                ["default"] * n
+                if groups is None
+                else _broadcast(groups, n, "group labels")
             )
-        if groups is None:
-            group_labels = ["default"] * n
-        else:
-            group_labels = list(groups)
-            if len(group_labels) == 1:
-                group_labels = group_labels * n
-            if len(group_labels) != n:
-                raise ValueError(
-                    f"expected 1 or {n} group labels, got {len(group_labels)}"
-                )
 
         # ---- behaviour / group registries ----------------------------- #
         # Every behaviour and group label the run can ever reference is
@@ -199,10 +264,12 @@ class VecSimulation:
         self._g_index: Dict[str, int] = {}
 
         init_bcodes = np.array(
-            [self._register_behavior(b) for b in behaviors], dtype=np.int64
+            [self._register_behavior(b) for bs in member_behaviors for b in bs],
+            dtype=np.int64,
         )
         init_gcodes = np.array(
-            [self._register_group(g) for g in group_labels], dtype=np.int64
+            [self._register_group(g) for gs in member_groups for g in gs],
+            dtype=np.int64,
         )
         self._init_bcode_pattern = init_bcodes
         self._init_gcode_pattern = init_gcodes
@@ -214,9 +281,11 @@ class VecSimulation:
             if arrival.group is not None:
                 self._register_group(arrival.group)
 
-        # Behaviour shifts grouped by round, with codes precomputed.
+        # Behaviour shifts grouped by round, with codes precomputed; every
+        # simulation of the batch shifts its own copy of the peers.
         self._shifts_by_round: Dict[int, list] = {}
         if dynamics is not None:
+            offsets = np.arange(batch, dtype=np.int64)[:, None] * n
             for shift in dynamics.behavior_shifts:
                 bcode = self._register_behavior(shift.behavior)
                 gcode = (
@@ -224,14 +293,15 @@ class VecSimulation:
                     if shift.group is not None
                     else None
                 )
+                peer_ids = np.array(shift.peer_ids, dtype=np.int64)
                 self._shifts_by_round.setdefault(shift.round, []).append(
-                    (np.array(shift.peer_ids, dtype=np.int64), bcode, gcode)
+                    ((offsets + peer_ids).ravel(), bcode, gcode)
                 )
 
         self._freeze_tables()
 
         # ---- dense peer-id-indexed state ------------------------------ #
-        capacity0 = max(16, 2 * n)
+        capacity0 = max(16, 2 * total)
         self._alloc_len = capacity0
         self._capacity = np.zeros(capacity0)
         self._aspiration = np.zeros(capacity0)
@@ -244,21 +314,18 @@ class VecSimulation:
         self._m_down = np.zeros(capacity0)
         self._m_up = np.zeros(capacity0)
 
+        self._next_id = total
+        self._active_ids = np.arange(total, dtype=np.int64)
+
         pinned = dynamics.initial_capacities if dynamics is not None else None
         if pinned is not None:
-            caps = np.array(pinned, dtype=np.float64)
+            caps = np.tile(np.array(pinned, dtype=np.float64), batch)
         else:
-            caps = np.array(
-                self._distribution.sample_population(n, self._py_rng),
-                dtype=np.float64,
-            )
-        self._capacity[:n] = caps
-        self._bcode[:n] = init_bcodes
-        self._gcode[:n] = init_gcodes
-        self._aspiration[:n] = caps / self._b_slots[init_bcodes]
-
-        self._next_id = n
-        self._active_ids = np.arange(n, dtype=np.int64)
+            caps = self._sample_capacities(self._active_ids)
+        self._capacity[:total] = caps
+        self._bcode[:total] = init_bcodes
+        self._gcode[:total] = init_gcodes
+        self._aspiration[:total] = caps / self._b_slots[init_bcodes]
 
         # Persistent id->local-position scratch.  Only ever read through
         # an *active* id (relational state is purged on departure), so a
@@ -280,8 +347,9 @@ class VecSimulation:
         self._streak: Tuple[np.ndarray, np.ndarray] = (_EMPTY_I, _EMPTY_I)
         self._pending: Tuple[np.ndarray, np.ndarray] = (_EMPTY_I, _EMPTY_I)
 
-        self._churn_events = 0
-        self._explicit_refusals = 0
+        # Per-simulation event counters.
+        self._churn_events = np.zeros(batch, dtype=np.int64)
+        self._explicit_refusals = np.zeros(batch, dtype=np.int64)
         self._arrivals = 0
         self._departures = 0
         self._active_counts: List[int] = []
@@ -449,22 +517,73 @@ class VecSimulation:
         return out
 
     # ------------------------------------------------------------------ #
+    # per-simulation random draws
+    # ------------------------------------------------------------------ #
+    # Every draw site hands the helpers below the *owners* of the values it
+    # needs — the ids (equivalently, in a fixed population, the active
+    # positions) the draws are for, grouped by simulation in simulation
+    # order.  Each simulation's slice then comes from its own streams, in
+    # the same order and with the same sizes as in a solo run; a batch of
+    # one passes straight through to the single stream.
+    def _sim_counts(self, owners: np.ndarray) -> List[int]:
+        """Per-simulation counts of ``owners`` (ids grouped by simulation)."""
+        if self._batch == 1:
+            return [owners.size]
+        return np.bincount(owners // self._n, minlength=self._batch).tolist()
+
+    def _tally(self, counter: np.ndarray, owners: np.ndarray) -> None:
+        """Add one event per owner to its simulation's ``counter`` entry."""
+        counter += self._sim_counts(owners)
+
+    def _uniform(self, owners: np.ndarray) -> np.ndarray:
+        """One uniform ``[0, 1)`` draw per owner."""
+        if self._batch == 1:
+            return self._rngs[0].random(owners.size)
+        parts = [
+            rng.random(count)
+            for rng, count in zip(self._rngs, self._sim_counts(owners))
+            if count
+        ]
+        return np.concatenate(parts) if parts else _EMPTY_F
+
+    def _positions(self, owners: np.ndarray, n: int) -> np.ndarray:
+        """One uniform active position of the owner's own simulation each.
+
+        ``n`` is the per-simulation active count; simulation ``b``'s draws
+        are ``integers(0, n)`` shifted by its position offset ``b * n``.
+        """
+        if self._batch == 1:
+            return self._rngs[0].integers(0, n, size=owners.size)
+        parts = [
+            rng.integers(0, n, size=count)
+            for rng, count in zip(self._rngs, self._sim_counts(owners))
+            if count
+        ]
+        if not parts:
+            return _EMPTY_I
+        draw = np.concatenate(parts)
+        draw += owners - owners % n
+        return draw
+
+    def _sample_capacities(self, owners: np.ndarray) -> np.ndarray:
+        """One upload capacity per owner from the bandwidth distribution."""
+        caps: List[float] = []
+        for py_rng, count in zip(self._py_rngs, self._sim_counts(owners)):
+            if count:
+                caps += self._distribution.sample_population(count, py_rng)
+        return np.array(caps, dtype=np.float64)
+
+    # ------------------------------------------------------------------ #
     # population step
     # ------------------------------------------------------------------ #
-    def _sample_capacities(self, count: int) -> np.ndarray:
-        return np.array(
-            self._distribution.sample_population(count, self._py_rng),
-            dtype=np.float64,
-        )
-
     def _apply_replacement(self, churned: np.ndarray, round_index: int) -> None:
         """Replacement churn: fresh identity takes over the slot in place."""
-        caps = self._sample_capacities(churned.size)
+        caps = self._sample_capacities(churned)
         self._capacity[churned] = caps
         self._aspiration[churned] = caps / self._b_slots[self._bcode[churned]]
         self._joined[churned] = round_index
         self._forget(churned)
-        self._churn_events += churned.size
+        self._tally(self._churn_events, churned)
 
     def _spawn_batch(
         self,
@@ -507,7 +626,7 @@ class VecSimulation:
         else:
             gcodes = self._init_gcode_pattern[cycle]
         self._spawn_batch(
-            self._sample_capacities(count), bcodes, gcodes,
+            self._sample_capacities(idx), bcodes, gcodes,
             _COHORT_ARRIVAL, round_index,
         )
 
@@ -523,19 +642,20 @@ class VecSimulation:
         arrival = population.arrival
         ids = self._active_ids
         n = ids.size
+        rng = self._rngs[0]  # variable populations run one simulation
 
         if departure.rate > 0.0 or departure.group_rates:
             if departure.mode == "replace":
-                mask = self._rng.random(n) < departure.rate
+                mask = rng.random(n) < departure.rate
                 churned = ids[mask]
                 if churned.size:
                     self._apply_replacement(churned, round_index)
             else:
                 if departure.group_rates:
                     probs = departure.rate + self._g_extra[self._gcode[ids]]
-                    mask = self._rng.random(n) < probs
+                    mask = rng.random(n) < probs
                 else:
-                    mask = self._rng.random(n) < departure.rate
+                    mask = rng.random(n) < departure.rate
                 if mask.any():
                     allowed = n - departure.min_active
                     if allowed <= 0:
@@ -559,7 +679,7 @@ class VecSimulation:
                         ]
                         if eligible.size:
                             rejoin = eligible[
-                                self._rng.random(eligible.size) < arrival.rate
+                                rng.random(eligible.size) < arrival.rate
                             ]
                             if rejoin.size:
                                 self._spawn_batch(
@@ -572,7 +692,7 @@ class VecSimulation:
 
         if arrival.kind == "poisson":
             if round_index >= arrival.start:
-                count = self._admissible(int(self._rng.poisson(arrival.rate)))
+                count = self._admissible(int(rng.poisson(arrival.rate)))
                 self._spawn_arrivals(count, round_index)
         elif arrival.kind == "flash":
             count = self._admissible(arrival.flash_count_for_round(round_index))
@@ -595,36 +715,43 @@ class VecSimulation:
         ids = self._active_ids
         churned = _EMPTY_I
         if churn_rate > 0.0:
-            mask = self._rng.random(ids.size) < churn_rate
+            mask = self._uniform(ids) < churn_rate
             churned = ids[mask]
             if churned.size:
                 self._apply_replacement(churned, round_index)
         if dynamics is not None:
             fraction = dynamics.correlated_fraction(round_index)
             if fraction > 0.0:
-                count = round(fraction * ids.size)
+                n = self._n
+                count = round(fraction * n)
                 if count < 1:
                     count = 1
                 pool = ids[~np.isin(ids, churned)] if churned.size else ids
-                if pool.size:
-                    if count > pool.size:
-                        count = pool.size
-                    batch = self._rng.choice(pool, size=count, replace=False)
-                    self._apply_replacement(batch, round_index)
+                # Fixed-population ids are sorted, so each simulation's
+                # pool is one contiguous run of ``pool``.
+                cuts = np.searchsorted(pool, np.arange(1, self._batch) * n)
+                picks = [
+                    rng.choice(own, size=min(count, own.size), replace=False)
+                    for rng, own in zip(self._rngs, np.split(pool, cuts))
+                    if own.size
+                ]
+                if picks:
+                    self._apply_replacement(np.concatenate(picks), round_index)
 
     # ------------------------------------------------------------------ #
     # vectorised sampling helpers
     # ------------------------------------------------------------------ #
     def _sample_others(self, rows: np.ndarray, size: int, n: int) -> np.ndarray:
-        """Per row, ``size`` distinct locals from [0, n) excluding the row.
+        """Per row, ``size`` distinct positions of its simulation, not the row.
 
-        Column-by-column rejection resampling: each accepted column value is
-        uniform over the remaining eligible locals, which is exactly
-        sampling without replacement.
+        ``n`` is the per-simulation active count.  Column-by-column
+        rejection resampling: each accepted column value is uniform over
+        the remaining eligible positions, which is exactly sampling
+        without replacement.
         """
         out = np.empty((rows.size, size), dtype=np.int64)
         for column in range(size):
-            draw = self._rng.integers(0, n, size=rows.size)
+            draw = self._positions(rows, n)
             while True:
                 bad = draw == rows
                 if column:
@@ -632,7 +759,7 @@ class VecSimulation:
                 redo = np.nonzero(bad)[0]
                 if redo.size == 0:
                     break
-                draw[redo] = self._rng.integers(0, n, size=redo.size)
+                draw[redo] = self._positions(rows[redo], n)
             out[:, column] = draw
         return out
 
@@ -646,8 +773,9 @@ class VecSimulation:
         """Next round's pending ``(target, requester)`` pairs.
 
         Each peer requests ``requests_per_round`` distinct targets drawn
-        uniformly from the active peers that are neither itself nor one of
-        its current partners.
+        uniformly from the active peers of its simulation (``n`` per
+        simulation) that are neither itself nor one of its current
+        partners.  Pairs come back grouped by simulation.
         """
         requests = self.config.requests_per_round
         eligible = (n - 1) - n_partners
@@ -663,8 +791,8 @@ class VecSimulation:
             live = np.nonzero(quota > column)[0]
             if live.size == 0:
                 break
-            draw = self._rng.integers(0, n, size=live.size)
             row_locals = rows[live]
+            draw = self._positions(row_locals, n)
             for _ in range(_MAX_RESAMPLE_ROUNDS):
                 bad = draw == row_locals
                 bad |= _member(
@@ -675,28 +803,87 @@ class VecSimulation:
                 redo = np.nonzero(bad)[0]
                 if redo.size == 0:
                     break
-                draw[redo] = self._rng.integers(0, n, size=redo.size)
+                draw[redo] = self._positions(row_locals[redo], n)
             else:
                 # Tiny eligible pools: finish the stragglers exactly.
                 partner_set = set(partner_keys.tolist())
                 for local_idx in np.nonzero(bad)[0]:
                     row_local = int(row_locals[local_idx])
+                    sim = row_local // n
                     taken = set(chosen[live[local_idx], :column].tolist())
                     options = [
                         t
-                        for t in range(n)
+                        for t in range(sim * n, (sim + 1) * n)
                         if t != row_local
                         and t not in taken
                         and (int(ids[row_local]) << _KEY_SHIFT)
                         | int(ids[t]) not in partner_set
                     ]
-                    draw[local_idx] = self._py_rng.choice(options)
+                    draw[local_idx] = self._py_rngs[sim].choice(options)
             chosen[live, column] = draw
             targets.append(ids[draw])
             requesters.append(ids[row_locals])
         if not targets:
             return _EMPTY_I, _EMPTY_I
-        return np.concatenate(targets), np.concatenate(requesters)
+        target = np.concatenate(targets)
+        requester = np.concatenate(requesters)
+        if self._batch > 1:
+            # Column-major pairs interleave the simulations; regroup them
+            # (stably, keeping each simulation's solo-run order) so later
+            # per-simulation draws over pending pairs see contiguous slices.
+            order = np.argsort(requester // self._n, kind="stable")
+            target = target[order]
+            requester = requester[order]
+        return target, requester
+
+    def _select(
+        self,
+        owners: np.ndarray,
+        quota: np.ndarray,
+        primary: np.ndarray,
+        tie: np.ndarray,
+        secondary: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Indices of each owner's top-``quota`` edges (:func:`grouped_topk`).
+
+        ``owners`` are the edges' owning ids, sorted; ``quota`` is indexed
+        by active position.  The selected indices feed order-sensitive
+        float sums, so each simulation's must come back in the order its
+        solo run gets them.  ``grouped_topk`` orders its output differently
+        on its top-1 path (taken when no segment needs more than one edge)
+        than on its general path, so the simulations of a batch are split
+        by the path their solo run would take; within one path, each
+        simulation's relative order does not depend on the rest.
+        """
+        starts, widths = segment_bounds(owners)
+        k = quota[self._pos[owners[starts]]]
+        if self._batch > 1:
+            seg_sim = owners[starts] // self._n
+            sim_k = np.zeros(self._batch, dtype=np.int64)
+            np.maximum.at(sim_k, seg_sim, np.minimum(k, widths))
+            seg_top1 = (sim_k <= 1)[seg_sim]
+            if seg_top1.any() and not seg_top1.all():
+                sub = np.flatnonzero(np.repeat(seg_top1, widths))
+                sub_starts, sub_widths = segment_bounds(owners[sub])
+                top1 = sub[
+                    grouped_topk(
+                        sub_starts, sub_widths, k[seg_top1],
+                        primary[sub], tie[sub],
+                        None if secondary is None else secondary[sub],
+                        self._scratch,
+                    )
+                ]
+                wide = ~seg_top1
+                return np.concatenate([
+                    top1,
+                    grouped_topk(
+                        starts[wide], widths[wide], k[wide],
+                        primary, tie, secondary, self._scratch,
+                    ),
+                ])
+        return grouped_topk(
+            starts, widths, k, primary, tie, secondary, self._scratch
+        )
 
     # ------------------------------------------------------------------ #
     # round processing
@@ -713,7 +900,8 @@ class VecSimulation:
         config = self.config
         ids = self._active_ids
         n = ids.size
-        self._active_counts.append(n)
+        n_sim = n // self._batch  # active peers per simulation
+        self._active_counts.append(n_sim)
         measuring = round_index >= config.warmup_rounds
         if measuring and not self._legacy_records:
             self._presence[ids] += 1
@@ -778,15 +966,11 @@ class VecSimulation:
                         cand_recv[m], cand_send[m]
                     )
                     secondary[m] = -rate[m]
-            tie = self._rng.random(n_edges)
+            tie = self._uniform(cand_recv)
             m = rank == 5  # random: rank by the tie draw itself
             if m.any():
                 primary[m] = tie[m]
-            starts, seg_widths = segment_bounds(cand_recv)
-            selected = grouped_topk(
-                starts, seg_widths, k[edge_local[starts]],
-                primary, tie, secondary, self._scratch,
-            )
+            selected = self._select(cand_recv, k, primary, tie, secondary)
             part_recv = cand_recv[selected]
             part_dst = cand_send[selected]
             part_val = cand_val[selected]
@@ -825,9 +1009,9 @@ class VecSimulation:
                 pool_isreq = np.ones(pool_peer.size)
         discovery = config.discovery_per_round
         coop_rows = np.nonzero(coop_now)[0]
-        if discovery > 0 and n > 1 and coop_rows.size:
-            sample_size = min(discovery, n - 1)
-            sampled = self._sample_others(coop_rows, sample_size, n)
+        if discovery > 0 and n_sim > 1 and coop_rows.size:
+            sample_size = min(discovery, n_sim - 1)
+            sampled = self._sample_others(coop_rows, sample_size, n_sim)
             sampled_peer = np.repeat(ids[coop_rows], sample_size)
             sampled_cand = ids[sampled.ravel()]
             pool_peer = np.concatenate([pool_peer, sampled_peer])
@@ -853,15 +1037,11 @@ class VecSimulation:
             )
             stranger_peer = unique_keys >> _KEY_SHIFT
             stranger_cand = unique_keys & _KEY_MASK
-            tie = self._rng.random(unique_keys.size)
+            tie = self._uniform(stranger_peer)
             # Requesters sort strictly before discoveries; folding the
             # flag into the tie (tie < 1) gives one exact composite key.
             primary = np.where(is_requester, 0.0, 1.0) + tie
-            starts, seg_widths = segment_bounds(stranger_peer)
-            selected = grouped_topk(
-                starts, seg_widths, h[pos[stranger_peer[starts]]],
-                primary, tie, None, self._scratch,
-            )
+            selected = self._select(stranger_peer, h, primary, tie)
             coop_peer = stranger_peer[selected]
             coop_dst = stranger_cand[selected]
         else:
@@ -883,7 +1063,7 @@ class VecSimulation:
                 rf_cand = rf_cand[keep]
                 if rf_peer.size:
                     rf_local = pos[rf_peer]
-                    tie = self._rng.random(rf_peer.size)
+                    tie = self._uniform(rf_peer)
                     order = np.lexsort((tie, rf_local))
                     sorted_local = rf_local[order]
                     counts = np.bincount(rf_local, minlength=n)
@@ -895,7 +1075,7 @@ class VecSimulation:
                     selected = order[within < cutoff[sorted_local]]
                     refuse_peer = rf_peer[selected]
                     refuse_dst = rf_cand[selected]
-                    self._explicit_refusals += refuse_peer.size
+                    self._tally(self._explicit_refusals, refuse_peer)
         prof.lap("decision.strangers")
 
         # ---- allocation (R) ------------------------------------------- #
@@ -984,8 +1164,10 @@ class VecSimulation:
                 self._streak = (_EMPTY_I, _EMPTY_I)
         prof.lap("transfer.streaks")
 
-        if config.requests_per_round > 0 and n > 1:
-            self._pending = self._draw_requests(ids, n, n_partners, partner_keys)
+        if config.requests_per_round > 0 and n_sim > 1:
+            self._pending = self._draw_requests(
+                ids, n_sim, n_partners, partner_keys
+            )
         else:
             self._pending = (_EMPTY_I, _EMPTY_I)
         prof.lap("transfer.requests")
@@ -995,27 +1177,36 @@ class VecSimulation:
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
         """Execute all rounds and return the :class:`SimulationResult`."""
+        if self._batch != 1:
+            raise ValueError(
+                f"this instance steps {self._batch} simulations; use run_all()"
+            )
+        return self.run_all()[0]
+
+    def run_all(self) -> List[SimulationResult]:
+        """Execute all rounds; one result per simulation, in member order."""
         for round_index in range(self.config.rounds):
             self._run_round(round_index)
 
         self.profiler.tick()
         try:
-            return self._build_result()
+            return [self._build_result(sim) for sim in range(self._batch)]
         finally:
             self.profiler.lap("metrics")
 
-    def _build_result(self) -> SimulationResult:
+    def _build_result(self, sim: int) -> SimulationResult:
         legacy = self._legacy_records
-        count = self._next_id
+        count = self._next_id // self._batch
+        lo, hi = sim * count, (sim + 1) * count
         # Bulk ``.tolist()`` conversions: element-at-a-time numpy scalar
         # boxing dominated result building at 100k+ identities.
         g_labels = self._g_labels
         b_labels = self._b_labels
-        groups = self._gcode[:count].tolist()
-        labels = self._bcode[:count].tolist()
-        caps = self._capacity[:count].tolist()
-        downs = self._m_down[:count].tolist()
-        ups = self._m_up[:count].tolist()
+        groups = self._gcode[lo:hi].tolist()
+        labels = self._bcode[lo:hi].tolist()
+        caps = self._capacity[lo:hi].tolist()
+        downs = self._m_down[lo:hi].tolist()
+        ups = self._m_up[lo:hi].tolist()
         # Positional construction — the frozen dataclass pays an
         # ``object.__setattr__`` per field either way, but skipping the
         # keyword machinery is ~30% cheaper at 100k+ records.  Argument
@@ -1028,10 +1219,10 @@ class VecSimulation:
                 )
             ]
         else:
-            cohorts = self._cohort[:count].tolist()
-            joins = self._joined[:count].tolist()
-            departs = self._departed[:count].tolist()
-            presence = self._presence[:count].tolist()
+            cohorts = self._cohort[lo:hi].tolist()
+            joins = self._joined[lo:hi].tolist()
+            departs = self._departed[lo:hi].tolist()
+            presence = self._presence[lo:hi].tolist()
             records = [
                 PeerRecord(
                     pid, g_labels[gc], cap, b_labels[bc], down, up,
@@ -1051,8 +1242,8 @@ class VecSimulation:
             config=self.config,
             records=records,
             rounds_executed=self.config.rounds,
-            churn_events=self._churn_events,
-            total_explicit_refusals=self._explicit_refusals,
+            churn_events=int(self._churn_events[sim]),
+            total_explicit_refusals=int(self._explicit_refusals[sim]),
             active_counts=None if legacy else tuple(self._active_counts),
             total_arrivals=self._arrivals,
             total_departures=self._departures,
