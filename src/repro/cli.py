@@ -31,8 +31,10 @@ results across invocations via the content-addressed result cache
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
+from types import ModuleType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.runner import ENV_CACHE_DIR, ENV_JOBS, jobs_from_env
@@ -44,27 +46,7 @@ from repro.sim.engine import (
     set_default_engine,
 )
 
-from repro.experiments import (
-    atlas as atlas_experiment,
-    base,
-    churn_check,
-    cross_substrate,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    figure6,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    robustness_split_check,
-    scenario_sweep,
-    section2_analytic,
-    table2,
-    table3,
-)
+from repro.experiments import base
 from repro.utils.logging import configure_logging, configure_progress_logging
 
 __all__ = ["main", "EXPERIMENTS"]
@@ -72,15 +54,27 @@ __all__ = ["main", "EXPERIMENTS"]
 Runner = Callable[[str, int], str]
 
 
-def _scaled(module) -> Runner:
+def _experiment_module(name: str) -> ModuleType:
+    """The experiment module ``repro.experiments.<name>``, imported on use.
+
+    Several experiment modules load numpy (and through the stats helpers
+    scipy) at import time; importing them only when their verb runs keeps
+    ``list`` and the service verbs light.
+    """
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _scaled(name: str) -> Runner:
     def runner(scale: str, seed: int) -> str:
+        module = _experiment_module(name)
         return module.render(module.run(scale=scale, seed=seed))
 
     return runner
 
 
-def _unscaled(module) -> Runner:
+def _unscaled(name: str) -> Runner:
     def runner(scale: str, seed: int) -> str:  # scale/seed intentionally unused
+        module = _experiment_module(name)
         return module.render(module.run())
 
     return runner
@@ -88,26 +82,26 @@ def _unscaled(module) -> Runner:
 
 #: Experiment name -> (description, runner).
 EXPERIMENTS: Dict[str, Tuple[str, Runner]] = {
-    "figure1": ("BitTorrent Dilemma and Birds payoff matrices", _unscaled(figure1)),
-    "section2": ("Analytical expected-win model and Nash verdicts", _unscaled(section2_analytic)),
-    "table2": ("Existing systems mapped to the generic design space", _unscaled(table2)),
-    "figure2": ("Robustness vs Performance scatter", _scaled(figure2)),
-    "figure3": ("Performance vs number of partners", _scaled(figure3)),
-    "figure4": ("Robustness vs number of partners", _scaled(figure4)),
-    "figure5": ("Robustness CCDF per stranger policy", _scaled(figure5)),
-    "figure6": ("Robustness per resource-allocation policy", _scaled(figure6)),
-    "figure7": ("Robustness per ranking function", _scaled(figure7)),
-    "figure8": ("Robustness vs Aggressiveness correlation", _scaled(figure8)),
-    "table3": ("Regression of PRA measures on design dimensions", _scaled(table3)),
-    "split-check": ("50/50 vs 90/10 robustness consistency", _scaled(robustness_split_check)),
-    "churn-check": ("Performance under churn", _scaled(churn_check)),
-    "figure9": ("Swarm encounters between client variants", _scaled(figure9)),
-    "figure10": ("Homogeneous-swarm client performance", _scaled(figure10)),
-    "scenarios": ("Named workload scenarios side by side", _scaled(scenario_sweep)),
-    "atlas": ("Protocol x workload robustness atlas", _scaled(atlas_experiment)),
+    "figure1": ("BitTorrent Dilemma and Birds payoff matrices", _unscaled("figure1")),
+    "section2": ("Analytical expected-win model and Nash verdicts", _unscaled("section2_analytic")),
+    "table2": ("Existing systems mapped to the generic design space", _unscaled("table2")),
+    "figure2": ("Robustness vs Performance scatter", _scaled("figure2")),
+    "figure3": ("Performance vs number of partners", _scaled("figure3")),
+    "figure4": ("Robustness vs number of partners", _scaled("figure4")),
+    "figure5": ("Robustness CCDF per stranger policy", _scaled("figure5")),
+    "figure6": ("Robustness per resource-allocation policy", _scaled("figure6")),
+    "figure7": ("Robustness per ranking function", _scaled("figure7")),
+    "figure8": ("Robustness vs Aggressiveness correlation", _scaled("figure8")),
+    "table3": ("Regression of PRA measures on design dimensions", _scaled("table3")),
+    "split-check": ("50/50 vs 90/10 robustness consistency", _scaled("robustness_split_check")),
+    "churn-check": ("Performance under churn", _scaled("churn_check")),
+    "figure9": ("Swarm encounters between client variants", _scaled("figure9")),
+    "figure10": ("Homogeneous-swarm client performance", _scaled("figure10")),
+    "scenarios": ("Named workload scenarios side by side", _scaled("scenario_sweep")),
+    "atlas": ("Protocol x workload robustness atlas", _scaled("atlas")),
     "cross-substrate": (
         "Protocol rankings compared across the rounds and swarm substrates",
-        _scaled(cross_substrate),
+        _scaled("cross_substrate"),
     ),
 }
 
@@ -528,6 +522,7 @@ def _submit(parser, args) -> int:
     from repro.telemetry import telemetry_for
     from repro.utils.logging import get_progress_logger
 
+    atlas_experiment = _experiment_module("atlas")
     axes = None
     if args.protocol_axes is not None:
         try:
@@ -729,6 +724,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "--substrate swarm"
                 )
             return _profile_scenario(parser, spec, args.scale, args.seed)
+        scenario_sweep = _experiment_module("scenario_sweep")
         if args.substrate == "swarm":
             swarm_result = scenario_sweep.run_swarm(
                 scale=args.scale,
@@ -757,6 +753,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "atlas":
         from repro.core.design_space import parse_axes
 
+        atlas_experiment = _experiment_module("atlas")
         axes = None
         if args.protocol_axes is not None:
             try:

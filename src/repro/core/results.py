@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.protocol import Protocol
-from repro.stats.correlation import pearson_correlation
 from repro.utils.serialization import dump_json, load_json
 
 __all__ = ["PRAStudyResult"]
@@ -102,6 +101,8 @@ class PRAStudyResult:
 
     def robustness_aggressiveness_correlation(self) -> float:
         """Pearson correlation between robustness and aggressiveness (Figure 8)."""
+        from repro.stats.correlation import pearson_correlation  # loads numpy
+
         keys = self.keys()
         return pearson_correlation(
             [self.robustness[k] for k in keys],

@@ -326,6 +326,16 @@ class Submission:
         if not pending:
             return fresh
 
+        # Snapshot pending, then claims, then (step 1) the store: a job only
+        # moves forward along pending -> claimed -> stored, so it shows up
+        # in at least one of the three.  In any other order a worker's claim
+        # landing between two listings hides the job from both, and the
+        # orphan sweep below would queue a duplicate of a running job.
+        queued_now = {
+            entry.stem for entry in spool.pending_dir.glob("*.job")
+        } if spool.pending_dir.exists() else set()
+        claims = spool.claimed_jobs()
+
         # 1. Completions: one indexed query over everything still awaited.
         for fingerprint in store.probe_many(pending):
             result = self._collect(fingerprint)
@@ -352,7 +362,7 @@ class Submission:
         # 3. Worker liveness: re-queue every claim a dead worker holds.
         # The registration grace keeps never-heartbeated (still starting)
         # workers out of the dead set — see ServiceConfig.registration_grace.
-        claims = spool.claimed_jobs()
+        # Claims this sweep moves back to pending count as queued below.
         dead = {
             info.worker_id
             for info in spool.workers(
@@ -370,6 +380,7 @@ class Submission:
                     if spool.release_claim(
                         worker_id, fingerprint, reason="dead-worker"
                     ):
+                        queued_now.add(fingerprint)
                         self.retries += 1
                         self.states[fingerprint].first_claimed = None
                         _LOGGER.warning(
@@ -394,9 +405,10 @@ class Submission:
                     )
                     for worker_id, fingerprints in claims.items():
                         if fingerprint in fingerprints:
-                            spool.release_claim(
+                            if spool.release_claim(
                                 worker_id, fingerprint, reason="timeout"
-                            )
+                            ):
+                                queued_now.add(fingerprint)
                             break
                     state.first_claimed = None
                     self._fail_or_defer(
@@ -409,9 +421,6 @@ class Submission:
 
         # 5. Deferred retries whose backoff expired -> re-queue.
         # 6. Orphans (dropped claims, undecodable job files) -> re-queue.
-        queued_now = {
-            entry.stem for entry in spool.pending_dir.glob("*.job")
-        } if spool.pending_dir.exists() else set()
         for fingerprint in list(awaiting):
             if fingerprint in self.failures:
                 continue

@@ -70,7 +70,6 @@ from repro.sim.metrics import (
 from repro.sim.peer import PeerState
 from repro.sim.population import PopulationSimulation
 from repro.sim.population_fast import FastPopulationSimulation
-from repro.sim.population_vec import VecSimulation
 
 __all__ = [
     "BandwidthDistribution",
@@ -105,3 +104,13 @@ __all__ = [
     "compute_cohort_metrics",
     "population_throughput",
 ]
+
+
+def __getattr__(name):
+    # VecSimulation loads numpy; resolve it on first use (PEP 562) so the
+    # pure-Python engines import without it.
+    if name == "VecSimulation":
+        from repro.sim.population_vec import VecSimulation
+
+        return VecSimulation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

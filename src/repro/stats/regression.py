@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "RegressionTerm",
@@ -249,6 +248,10 @@ def fit_ols(design: DesignMatrix, response: Sequence[float]) -> RegressionResult
     tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / dof if dof > 0 else float("nan")
+
+    # Imported here, not at module level: scipy takes ~1 s to import and
+    # only the Student-t p-values need it.
+    from scipy import stats as scipy_stats
 
     std_errors = np.sqrt(np.clip(np.diag(xtx_inv) * sigma2, 0.0, None))
     terms: List[RegressionTerm] = []

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = [
     "SummaryStats",
@@ -60,6 +59,10 @@ def confidence_interval(
     sem = float(data.std(ddof=1)) / float(np.sqrt(data.size))
     if sem == 0.0:
         return mean, mean
+    # Imported here, not at module level: scipy takes ~1 s to import and
+    # only the Student-t quantile needs it.
+    from scipy import stats as scipy_stats
+
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=data.size - 1))
     half = t_crit * sem
     return mean - half, mean + half

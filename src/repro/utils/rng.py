@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported only when a numpy generator is asked for
+    import numpy as np
 
 __all__ = ["derive_seed", "spawn_rng", "spawn_numpy_rng", "RngFactory"]
 
@@ -58,6 +59,8 @@ def spawn_rng(master_seed: int, path: str) -> random.Random:
 
 def spawn_numpy_rng(master_seed: int, path: str) -> np.random.Generator:
     """Return a numpy :class:`~numpy.random.Generator` derived from the seed path."""
+    import numpy as np
+
     return np.random.default_rng(derive_seed(master_seed, path))
 
 

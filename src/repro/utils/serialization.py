@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from enum import Enum
 from pathlib import Path
 from typing import Any, Union
-
-import numpy as np
 
 __all__ = ["to_jsonable", "dump_json", "load_json"]
 
@@ -37,14 +36,17 @@ def to_jsonable(obj: Any) -> Any:
             field.name: to_jsonable(getattr(obj, field.name))
             for field in dataclasses.fields(obj)
         }
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    # A process that never imported numpy holds no numpy values.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [to_jsonable(x) for x in obj.tolist()]
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
     if isinstance(obj, dict):
         return {str(key): to_jsonable(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):

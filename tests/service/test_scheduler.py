@@ -146,6 +146,52 @@ class TestFaultRecovery:
         drain(dirs)
         assert submission.results(timeout=5) == ["echo:a"]
 
+    def test_claim_racing_the_pump_is_not_queued_twice(self, dirs):
+        """A worker claims a pending job while the pump lists the spool: the
+        job is in flight, not orphaned, so no duplicate is queued."""
+        scheduler = Scheduler(dirs[0], cache_dir=dirs[1], config=FAST)
+        spool = scheduler.spool
+        submission = scheduler.submit([EchoJob("a")])
+        spool.register_worker("w1")
+        listing = spool.claimed_jobs
+        raced = []
+
+        def claim_after_first_listing():
+            claims = listing()
+            if not raced:
+                raced.append(spool.claim("w1"))
+            return claims
+
+        spool.claimed_jobs = claim_after_first_listing
+        submission._pump()
+        assert raced[0] is not None
+        assert submission.enqueued == 1
+        assert spool.queue_depth() == 0
+        assert submission.retries == 0
+
+    def test_dead_worker_requeue_claimed_at_once_is_counted_once(self, dirs):
+        """The dead worker's job is re-queued and a survivor claims it before
+        the pump ends: one counted retry and no duplicate in the queue."""
+        config = replace(FAST, registration_grace=0.0)
+        scheduler = Scheduler(dirs[0], cache_dir=dirs[1], config=config)
+        spool = scheduler.spool
+        submission = scheduler.submit([EchoJob("a")])
+        assert spool.claim("ghost") is not None
+        spool.register_worker("survivor")
+        release = spool.release_claim
+
+        def release_then_claim(*args, **kwargs):
+            released = release(*args, **kwargs)
+            assert spool.claim("survivor") is not None
+            return released
+
+        spool.release_claim = release_then_claim
+        submission._pump()
+        assert submission.retries == 1
+        assert submission.enqueued == 1
+        assert spool.queue_depth() == 0
+        assert spool.claimed_jobs() == {"survivor": [EchoJob("a").fingerprint()]}
+
     def test_job_timeout_requeues_and_exhausts(self, dirs):
         """A claim held past job_timeout goes back to pending; repeated
         timeouts burn the attempt budget and fail terminally."""
