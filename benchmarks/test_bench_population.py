@@ -2,9 +2,9 @@
 
 Times up to four engines on matched ``(n_peers, rounds)`` workloads:
 
-* the optimised **fixed-population** engine
-  (:class:`repro.sim.engine.Simulation`) on the legacy replacement-churn
-  twin of the workload — the ceiling the variable engine is chasing;
+* a **fixed-population** run of the workload's replacement-churn twin
+  through :func:`repro.sim.engine.simulate` (the fast population engine) —
+  the ceiling the variable workload is chasing;
 * the **reference** variable-population engine
   (:class:`repro.sim.population.PopulationSimulation`);
 * the optimised variable-population engine
@@ -65,7 +65,7 @@ from repro.core.protocol import bittorrent_reference
 from repro.runner.jobs import result_to_payload
 from repro.sim.config import SimulationConfig
 from repro.sim.dynamics import ArrivalProcess, DepartureProcess, PopulationDynamics
-from repro.sim.engine import Simulation
+from repro.sim.engine import simulate
 from repro.sim.population import PopulationSimulation
 from repro.sim.population_fast import FastPopulationSimulation
 from repro.sim.population_vec import VecSimulation
@@ -149,19 +149,19 @@ def engines_for_case(n_peers: int) -> Tuple[str, ...]:
     return ENGINE_ORDER
 
 
-def _time_run(factory, repeats: int = 3) -> Tuple[float, object, object]:
+def _time_run(run, repeats: int = 3) -> Tuple[float, object, object]:
     """Best-of-``repeats`` wall-clock seconds for one full run.
 
-    Returns ``(seconds, result, simulation)`` of the best repeat, so a
-    profiled engine's phase table can be read off the winning run.
+    ``run()`` returns ``(result, simulation)``.  Returns ``(seconds,
+    result, simulation)`` of the best repeat, so a profiled engine's phase
+    table can be read off the winning run.
     """
     best = float("inf")
     result = None
     best_sim = None
     for _ in range(repeats):
         start = time.perf_counter()
-        simulation = factory()
-        run_result = simulation.run()
+        run_result, simulation = run()
         elapsed = time.perf_counter() - start
         if elapsed < best:
             best, result, best_sim = elapsed, run_result, simulation
@@ -182,27 +182,25 @@ def run_case(
     variable_config = _whitewash_config(n_peers, rounds)
     fixed_config = _fixed_twin_config(n_peers, rounds)
 
-    factories = {
-        "fixed": lambda: Simulation(fixed_config, [behavior], seed=seed),
-        "population_reference": lambda: PopulationSimulation(
-            variable_config, [behavior], seed=seed
-        ),
-        "population_fast": lambda: FastPopulationSimulation(
-            variable_config, [behavior], seed=seed
-        ),
+    def engine_run(engine_cls, **kwargs):
+        simulation = engine_cls(variable_config, [behavior], seed=seed, **kwargs)
+        return simulation.run(), simulation
+
+    runs = {
+        "fixed": lambda: (simulate(fixed_config, [behavior], seed=seed), None),
+        "population_reference": lambda: engine_run(PopulationSimulation),
+        "population_fast": lambda: engine_run(FastPopulationSimulation),
         # Profiled: the real profiler's per-round cost is a few perf_counter
         # calls, unmeasurable at these scales, and it buys every trajectory
         # entry a per-phase attribution of the vec time.
-        "population_vec": lambda: VecSimulation(
-            variable_config, [behavior], seed=seed, profile=True
-        ),
+        "population_vec": lambda: engine_run(VecSimulation, profile=True),
     }
     timings: Dict[str, float] = {}
     results: Dict[str, object] = {}
     sims: Dict[str, object] = {}
     for name in engines:
         timings[name], results[name], sims[name] = _time_run(
-            factories[name], repeats
+            runs[name], repeats
         )
 
     case = {

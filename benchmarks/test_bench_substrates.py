@@ -13,14 +13,14 @@ from repro.bittorrent.swarm import SwarmSimulation
 from repro.bittorrent.variants import reference_bittorrent as bt_client
 from repro.core.protocol import bittorrent_reference
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import simulate
 
 
 def test_cycle_simulator_single_run(benchmark):
     config = SimulationConfig(n_peers=50, rounds=100)
 
     def run():
-        return Simulation(config, [bittorrent_reference().behavior], seed=1).run()
+        return simulate(config, [bittorrent_reference().behavior], seed=1)
 
     result = benchmark(run)
     assert result.throughput > 0

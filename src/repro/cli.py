@@ -373,62 +373,46 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _profile_scenario(parser, spec, scale: str, seed: int) -> int:
+def _profile_scenario(spec, scale: str, seed: int) -> int:
     """Run one profiled simulation of ``spec`` and print per-phase timings.
 
-    Variable-population scenarios profile the selected population engine;
-    fixed-population scenarios profile the optimised fixed engine with its
-    coarse buckets (the decision and transfer phases are fused with a
-    history window of three or more rounds, so the ``decision`` bucket
-    includes the transfer application and ``transfer`` covers only the
-    end-of-round bookkeeping).  The vec engine profiles both shapes with
-    one implementation and dotted sub-phase attribution.
+    Every engine profiles fixed and variable scenarios alike.  The fast
+    engine's buckets are coarse: with a history window of three or more
+    rounds it fuses the decision and transfer phases, so the ``decision``
+    bucket includes the transfer application and ``transfer`` covers only
+    the end-of-round bookkeeping (the run line says so).  The vec engine
+    adds dotted sub-phase attribution.
     """
-    from repro.sim.engine import (
-        FUSED_HISTORY_MIN,
-        Simulation,
-        profiled_simulation,
-    )
+    from repro.sim.engine import FUSED_HISTORY_MIN, profiled_simulation
     from repro.sim.profiling import profile_seconds_of, render_phases
 
     job = spec.compile(scale=scale, seed=seed)
     engine = default_engine()
-    variable = job.config.is_variable_population
-    try:
-        simulation = profiled_simulation(
-            job.config,
-            list(job.behaviors),
-            groups=list(job.groups) if job.groups is not None else None,
-            seed=job.seed,
-        )
-    except ValueError:
-        parser.error(
-            "--profile on a fixed-population scenario needs the "
-            "optimised engine; the frozen reference implementation "
-            "has no profile hooks (drop --engine reference)"
-        )
+    simulation = profiled_simulation(
+        job.config,
+        list(job.behaviors),
+        groups=list(job.groups) if job.groups is not None else None,
+        seed=job.seed,
+    )
     result = simulation.run()
     rounds = result.rounds_executed
+    fused = engine == "fast" and job.config.history_rounds >= FUSED_HISTORY_MIN
     print(
         f"profile: scenario {spec.name} (scale {scale}, seed {seed}, "
         f"engine {engine})"
     )
-    if variable:
-        print(
+    if job.config.is_variable_population:
+        summary = (
             f"rounds: {rounds}  peers: {job.config.n_peers} -> "
             f"{result.final_active_count}  arrivals: {result.total_arrivals}  "
             f"departures: {result.total_departures}"
         )
     else:
-        fused = (
-            type(simulation) is Simulation
-            and job.config.history_rounds >= FUSED_HISTORY_MIN
-        )
-        print(
+        summary = (
             f"rounds: {rounds}  peers: {job.config.n_peers} (fixed)  "
             f"churn events: {result.churn_events}"
-            + ("  [fused decision+transfer]" if fused else "")
         )
+    print(summary + ("  [fused decision+transfer]" if fused else ""))
     print(render_phases(profile_seconds_of(simulation), rounds=rounds))
     return 0
 
@@ -723,7 +707,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "--profile is a round-engine instrument; drop "
                     "--substrate swarm"
                 )
-            return _profile_scenario(parser, spec, args.scale, args.seed)
+            return _profile_scenario(spec, args.scale, args.seed)
         scenario_sweep = _experiment_module("scenario_sweep")
         if args.substrate == "swarm":
             swarm_result = scenario_sweep.run_swarm(

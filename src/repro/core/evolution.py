@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.protocol import Protocol
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
+from repro.sim.engine import simulate
 from repro.utils.rng import derive_seed
 
 __all__ = [
@@ -180,7 +180,7 @@ class ImitationDynamics:
     def _run_generation(self, assignment: List[str], generation: int) -> Dict[str, float]:
         behaviors = [self._by_key[key].behavior for key in assignment]
         seed = derive_seed(self.config.seed, f"evolution/generation/{generation}")
-        result = Simulation(self.config.sim, behaviors, groups=assignment, seed=seed).run()
+        result = simulate(self.config.sim, behaviors, groups=assignment, seed=seed)
         metrics = result.group_metrics()
         return {key: metrics[key].mean_downloaded for key in metrics}
 

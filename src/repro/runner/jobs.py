@@ -76,7 +76,7 @@ class SimulationJob:
         The simulation configuration.
     behaviors:
         One behaviour per peer, or a single behaviour broadcast to the whole
-        population (same convention as :class:`~repro.sim.engine.Simulation`).
+        population (same convention as :func:`~repro.sim.engine.simulate`).
     groups:
         Optional group label per peer (or a single broadcast label).
     seed:
@@ -143,9 +143,8 @@ class SimulationJob:
     def execute(self) -> SimulationResult:
         """Run the simulation described by this job.
 
-        Dispatches to the variable-population engine when the config carries
-        non-trivial population dynamics, and to the optimised fixed-
-        population engine otherwise.
+        Runs on the selected engine (:func:`~repro.sim.engine.simulate`),
+        which takes fixed and variable populations alike.
         """
         return simulate(
             self.config, list(self.behaviors), groups=self.groups, seed=self.seed

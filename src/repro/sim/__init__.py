@@ -13,25 +13,29 @@ Space Analysis of Section 4 executes protocol variants:
   resource-allocation policy) — exactly the dimensions actualised in
   Section 4.2;
 * optional churn replaces peers with fresh ones at a configurable per-round
-  rate (used for the §4.4 churn check).
+  rate (used for the §4.4 churn check); scenario dynamics and
+  variable-population processes add churn waves, behaviour shifts, true
+  arrivals and departures on top.
 
-The engine (:mod:`repro.sim.engine`) is deliberately lightweight — plain
-dictionaries, no per-message objects — so the PRA tournament can run tens of
-thousands of simulations in a benchmark session.
+The engines are deliberately lightweight — plain dictionaries, no
+per-message objects — so the PRA tournament can run tens of thousands of
+simulations in a benchmark session.
 
-Three engines are selectable.  Each population model ships two replica
-engines proven bit-identical: an optimised hot path
-(:class:`~repro.sim.engine.Simulation` for fixed populations,
-:class:`~repro.sim.population_fast.FastPopulationSimulation` for variable
-ones) and a reference implementation (:mod:`repro.sim.reference`,
-:class:`~repro.sim.population.PopulationSimulation`).  The third,
+A fixed population is the degenerate case of a variable one (replacement
+churn, no arrivals), so every config shape runs on the same engines, and
+three are selectable.  Two replica engines are proven bit-identical: the
+optimised hot path
+:class:`~repro.sim.population_fast.FastPopulationSimulation` and its
+readable reference :class:`~repro.sim.population.PopulationSimulation`;
+the golden-equivalence suite also holds them to a frozen snapshot of the
+seed engine kept under ``tests/``.  The third,
 :class:`~repro.sim.population_vec.VecSimulation`, executes whole rounds as
 numpy batch operations for 10k–100k-peer swarms; it samples the same
 stochastic process with different random draws and is gated by the
 ``tests/statistical/`` equivalence harness rather than bit-identity.
-:func:`simulate` dispatches onto the optimised replica engines by default;
+:func:`simulate` dispatches onto the fast engine by default;
 ``engine="reference"`` / ``engine="vec"``, :func:`set_default_engine` or
-``REPRO_SIM_ENGINE`` select the other paths.
+``REPRO_SIM_ENGINE`` select the others.
 """
 
 from repro.sim.bandwidth import (
@@ -53,7 +57,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.dynamics import ArrivalProcess, DepartureProcess, PopulationDynamics
 from repro.sim.engine import (
     ENGINE_CHOICES,
-    Simulation,
     SimulationResult,
     default_engine,
     set_default_engine,
@@ -84,7 +87,6 @@ __all__ = [
     "RANKING_FUNCTIONS",
     "ALLOCATION_POLICIES",
     "SimulationConfig",
-    "Simulation",
     "SimulationResult",
     "simulate",
     "ENGINE_CHOICES",

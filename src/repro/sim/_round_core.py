@@ -1,17 +1,15 @@
-"""Shared round-core of the optimised simulation engines.
+"""Round-core kernels of the optimised population engine.
 
-Both optimised engines — the fixed-population :class:`repro.sim.engine.Simulation`
-and the variable-population
-:class:`repro.sim.population_fast.FastPopulationSimulation` — execute the same
-per-peer decision/transfer round with the same micro-optimisations.  This
-module holds the pieces they share, so the two hot paths cannot silently
-diverge:
+:class:`repro.sim.population_fast.FastPopulationSimulation` executes the
+per-peer decision/transfer round with the micro-optimisations below; this
+module holds its draw-exact primitives and transfer core, kept apart from
+the round loop so each can be checked against the stdlib on its own:
 
 * :func:`inline_shuffle` / :func:`inline_sample` — local replicas of
   CPython's ``Random.shuffle`` / ``Random.sample`` driven by a bound
   ``getrandbits``.  They make **exactly** the same draws as the stdlib
   (same ``getrandbits`` calls, same rejection loops), which is what keeps
-  the optimised engines bit-identical to the reference implementations
+  the optimised engine bit-identical to the reference implementations
   while skipping the stdlib's per-call overhead;
 * :func:`sample_skip` — :func:`inline_sample` over an id list minus one
   position, mapping drawn indices past the skipped slot instead of
@@ -54,7 +52,7 @@ __all__ = [
 #: ``setsize = 21`` (growing only for ``k > 5``) and copies the population
 #: whenever ``n <= setsize``.  Below this bound a one- or two-element sample
 #: can be replicated with one or two ``randbelow`` draws and **no pool
-#: copy** — the "fast discovery" shortcut both optimised engines take.
+#: copy** — the "fast discovery" shortcut the optimised engine takes.
 #: Above it (or for larger ``k``) the draw pattern changes, so the shortcut
 #: must not be used; :func:`inline_sample` handles the general case.
 SAMPLE_POOL_COPY_MAX = 21

@@ -55,17 +55,18 @@ class SimulationConfig:
     aspiration_smoothing:
         Exponential smoothing factor of the Sort Adaptive aspiration level.
     dynamics:
-        Optional compiled scenario dynamics (churn waves, behaviour shifts,
-        pinned initial capacities; see :mod:`repro.sim.dynamics`).  ``None``
-        — the default — runs the unmodified legacy path, bit-identical to
-        the golden reference engine.
+        Optional compiled scenario dynamics of a fixed population (churn
+        waves, behaviour shifts, pinned initial capacities; see
+        :mod:`repro.sim.dynamics`), executed by the population step of
+        every engine.  ``None`` — the default — runs plain replacement
+        churn at ``churn_rate``, bit-identical to the frozen seed engine.
     population:
         Optional variable-population dynamics (true arrivals/departures;
-        see :class:`~repro.sim.dynamics.PopulationDynamics`).  A non-trivial
-        bundle routes the run onto the variable-population engine, where
-        ``n_peers`` is the *initial* population and the active set grows
-        and shrinks over the run.  Mutually exclusive with ``churn_rate``
-        and ``dynamics`` (the population process owns all arrivals and
+        see :class:`~repro.sim.dynamics.PopulationDynamics`).  With a
+        non-trivial bundle ``n_peers`` is the *initial* population and the
+        active set grows and shrinks over the run; without one the
+        population is fixed.  Mutually exclusive with ``churn_rate`` and
+        ``dynamics`` (the population process owns all arrivals and
         departures).
     """
 
@@ -132,7 +133,7 @@ class SimulationConfig:
 
     @property
     def is_variable_population(self) -> bool:
-        """Whether this run executes on the variable-population engine."""
+        """Whether the population size can change (a non-trivial bundle)."""
         return self.population is not None and not self.population.is_trivial()
 
     def distribution(self) -> BandwidthDistribution:

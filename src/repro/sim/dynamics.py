@@ -18,8 +18,10 @@ engine executes directly:
   initial per-peer upload capacities (heterogeneous class populations).
 
 On top of the fixed-slot dynamics this module also defines the
-*variable-population* primitives executed by
-:class:`~repro.sim.population.PopulationSimulation`:
+*variable-population* primitives.  Both kinds are executed by the population
+step of the replica engines
+(:class:`~repro.sim.population.PopulationSimulation` and its optimised
+subclass) and by the vec engine:
 
 * :class:`ArrivalProcess` — how genuinely new identities enter the swarm
   mid-run (Poisson stream, a scheduled flash batch, or whitewash rejoins
@@ -33,8 +35,8 @@ On top of the fixed-slot dynamics this module also defines the
 All types are frozen, hashable and JSON round-trippable, so a configured
 dynamics bundle participates in the runner's content-addressed result cache
 exactly like every other simulation parameter.  A config whose ``dynamics``
-and ``population`` are ``None`` executes the unmodified legacy path —
-bit-identical to the golden reference engine.
+and ``population`` are ``None`` executes plain replacement churn —
+bit-identical to the frozen seed engine.
 """
 
 from __future__ import annotations
@@ -429,8 +431,8 @@ class DepartureProcess:
         ``"shrink"`` — departures genuinely leave and the active set
         shrinks; ``"replace"`` — the legacy semantics: the departed slot is
         immediately taken by a fresh identity with a resampled capacity,
-        exactly as :func:`repro.sim.churn.apply_churn` does (this is the
-        differential-testing bridge to the fixed-population engine).
+        exactly as :func:`repro.sim.churn.apply_churn` does (the
+        fixed-population churn model).
     min_active:
         Floor on the active population; once departures would push the
         active count below it, the remaining departures of that round are
@@ -517,17 +519,17 @@ class PopulationDynamics:
     """The variable-population bundle of one simulation.
 
     Attaching a non-trivial ``PopulationDynamics`` to a
-    :class:`~repro.sim.config.SimulationConfig` routes the run onto the
-    variable-population engine
-    (:class:`~repro.sim.population.PopulationSimulation`): arrivals create
-    genuinely new identities with fresh peer ids, and departures in
-    ``"shrink"`` mode remove identities for good.  ``max_active`` caps the
-    active population (a tracker's capacity limit); 0 means unbounded.
+    :class:`~repro.sim.config.SimulationConfig` makes the population
+    variable: arrivals create genuinely new identities with fresh peer ids,
+    and departures in ``"shrink"`` mode remove identities for good.
+    ``max_active`` caps the active population (a tracker's capacity limit);
+    0 means unbounded.
 
     The degenerate bundle — no arrivals, ``"replace"`` departures — is the
-    legacy churn model expressed in the new vocabulary; the differential
-    suite proves the variable engine reproduces the fixed-population engine
-    bit-for-bit in that configuration.
+    fixed-population churn model expressed in this vocabulary; the engines
+    run every fixed config as that bundle (at ``config.churn_rate``), and
+    the differential suite proves the explicit twin reproduces the fixed
+    config bit-for-bit.
     """
 
     arrival: ArrivalProcess = field(default_factory=ArrivalProcess)
@@ -545,8 +547,8 @@ class PopulationDynamics:
             # Replacement departures swap identities in-place per slot, so a
             # slot's record would blend several identities — incoherent next
             # to arrival records that each carry one identity's lifecycle.
-            # "replace" exists only as the no-arrival differential bridge to
-            # the fixed-population engine.
+            # "replace" is the fixed-population churn model, which has no
+            # arrivals.
             raise ValueError(
                 "arrival processes require 'shrink' departures; 'replace' "
                 "mode is the degenerate no-arrival churn model"

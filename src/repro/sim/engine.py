@@ -1,6 +1,6 @@
-"""The cycle-based simulation engine (Section 4.3.1).
+"""Engine dispatch and the run result of the cycle-based model (§4.3.1).
 
-One :class:`Simulation` executes a population of peers, each running a
+One simulation executes a population of peers, each running a
 :class:`~repro.sim.behavior.PeerBehavior`, for a configured number of rounds.
 Every round proceeds in two phases:
 
@@ -19,81 +19,29 @@ Every round proceeds in two phases:
    the targets' pending contacts for the next round.
 
 The two-phase structure removes any dependence on peer iteration order within
-a round, which keeps runs reproducible and unbiased.
+a round, which keeps runs reproducible and unbiased.  Churn, arrivals and
+scenario dynamics are applied at the start of each round.
 
-Churn, when enabled, is applied at the start of each round (see
-:mod:`repro.sim.churn`).
-
-Implementation notes
---------------------
-This engine is the optimised hot path of the library; the golden reference
-is the seed implementation preserved in :mod:`repro.sim.reference`, and
-``tests/sim/test_engine_equivalence.py`` proves the two produce
-**bit-identical** results.  The optimisations:
-
-* the policy logic of :mod:`repro.sim.policies` is inlined into the round
-  loop, with candidate structures (behaviour constants, sample sizes,
-  history round-maps) precomputed at construction; per-peer "all other
-  peers" lists are never materialised — discovery and request samples are
-  drawn positionally from the id range, skipping the deciding peer's slot
-  with the same draws ``Random.sample`` would have made on the
-  materialised list (:func:`repro.sim._round_core.sample_skip`);
-* transfer accounting uses flat arrays indexed by peer id, allocations are
-  applied as grouped ``(targets, amount)`` batches, and history buckets are
-  written directly (one bucket fetch per receiving peer per round) instead
-  of per-record method calls;
-* with a history window of three or more rounds each peer's transfers are
-  applied as soon as it decides ("fused" phases): decisions only ever read
-  rounds ``r-1``/``r-2`` and creating the round-``r`` bucket evicts at most
-  round ``r-3``, so later peers' decisions are unaffected (with a two-round
-  window decisions are buffered and applied afterwards, as the reference
-  does);
-* loyalty streaks are tracked lazily as ``(last giving round, streak)``
-  pairs, replacing the per-round zeroing sweep over every known peer;
-* the random draws of ``Random.shuffle``/``Random.sample`` are generated by
-  local replicas of CPython's exact algorithms driven by
-  ``Random.getrandbits``, eliminating the stdlib's per-call overhead while
-  consuming the Mersenne-Twister stream identically — crucially the
-  candidate set is still built with the reference's exact set operations,
-  because even the hash-table *layout* of a set (which depends on how it
-  was constructed) determines iteration order and hence how the
-  tie-breaking shuffle permutes the pool;
-* stranger-pool construction and candidate ranking are skipped on rounds
-  where the peer's policy cannot use them (every skipped code path is one
-  that makes no random draw, so the stream stays aligned).
-
-The inline random primitives and the per-peer transfer core live in
-:mod:`repro.sim._round_core`, shared with the optimised variable-population
-engine (:mod:`repro.sim.population_fast`) so the two hot paths cannot
-diverge.  :func:`simulate` dispatches every run onto the optimised engine
-for its population model; ``engine="reference"`` (or the
-``REPRO_SIM_ENGINE`` environment variable, or :func:`set_default_engine`)
-is the escape hatch onto the reference implementations, which produce
-bit-identical results — the golden-equivalence and differential suites
-enforce exactly that.
+A fixed population is the degenerate case of a variable one (replacement
+churn, no arrivals), so one model has one pair of replica engines:
+:class:`~repro.sim.population_fast.FastPopulationSimulation`, the optimised
+hot path, and :class:`~repro.sim.population.PopulationSimulation`, the
+readable reference it is proven bit-identical against.  The numpy batch
+engine :class:`~repro.sim.population_vec.VecSimulation` samples the same
+process with different draws.  This module holds what they share: the
+:class:`SimulationResult` they return and the name→engine dispatch
+(:func:`simulate`, :func:`profiled_simulation`, :func:`using_engine`).
 """
 
 from __future__ import annotations
 
 import os
-import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim._round_core import (
-    SAMPLE_POOL_COPY_MAX,
-    apply_transfer_groups,
-    behavior_info,
-    inline_sample as _sample,
-    inline_shuffle as _shuffle,
-    sample_skip as _sample_skip,
-)
 from repro.sim.behavior import PeerBehavior
-from repro.sim.churn import apply_churn, apply_correlated_churn
 from repro.sim.config import SimulationConfig
-from repro.sim.history import InteractionHistory
 from repro.sim.metrics import (
     CohortMetrics,
     GroupCohortMetrics,
@@ -104,13 +52,11 @@ from repro.sim.metrics import (
     compute_group_metrics,
     population_throughput,
 )
-from repro.sim.peer import PeerState
 
 __all__ = [
     "ENGINE_CHOICES",
     "ENV_ENGINE",
     "FUSED_HISTORY_MIN",
-    "Simulation",
     "SimulationResult",
     "default_engine",
     "population_engine_class",
@@ -120,11 +66,11 @@ __all__ = [
     "using_engine",
 ]
 
-#: Smallest history window for which the optimised engines fuse the
+#: Smallest history window for which the optimised engine fuses the
 #: decision and transfer phases (decisions only ever read rounds r-1/r-2,
 #: and creating the round-r bucket evicts at most round r-3, so later
 #: peers' decisions are unaffected).  The CLI profiler reads this to label
-#: its coarse buckets; both optimised engines branch on it.
+#: its coarse buckets; the fast population engine branches on it.
 FUSED_HISTORY_MIN = 3
 
 
@@ -133,10 +79,10 @@ class SimulationResult:
     """Outcome of one simulation run.
 
     The population fields keep their defaults on fixed-population runs;
-    the variable-population engine records the per-round active count and
-    the arrival/departure totals, and its ``records`` include every
-    identity that ever existed (departed ones carry their final
-    accounting), so transfer totals balance across population change.
+    variable-population runs record the per-round active count and the
+    arrival/departure totals, and their ``records`` include every identity
+    that ever existed (departed ones carry their final accounting), so
+    transfer totals balance across population change.
     """
 
     config: SimulationConfig
@@ -190,8 +136,9 @@ class SimulationResult:
 
     def group_cohort_metrics(self) -> Dict[Tuple[str, str], GroupCohortMetrics]:
         """Per-(group, cohort) PRA measures, download shares and departure
-        rates — who wins inside an adversarial workload.  Defined for both
-        population engines (fixed runs have a single ``"initial"`` cohort)."""
+        rates — who wins inside an adversarial workload.  Defined for fixed
+        and variable populations (fixed runs have a single ``"initial"``
+        cohort)."""
         return compute_group_cohort_metrics(self.records, self.measured_rounds)
 
     def download_per_peer_round(self) -> float:
@@ -236,633 +183,15 @@ class SimulationResult:
         return sum(r.uploaded for r in self.records) / capacity
 
 
-class Simulation:
-    """A single cycle-based simulation run.
-
-    Parameters
-    ----------
-    config:
-        Run parameters (population size, rounds, churn, ...).
-    behaviors:
-        Either one behaviour per peer (``len == n_peers``) or a single
-        behaviour broadcast to the entire population.
-    groups:
-        Optional group label per peer (same length rules).  PRA encounters
-        label the two sub-populations so their utilities can be compared;
-        homogeneous runs can omit this.
-    seed:
-        Seed of the run's private random generator.
-    profile:
-        Accumulate wall-clock per-phase round timings in ``phase_seconds``.
-        The buckets are coarse by design: with a history window of three or
-        more rounds the decision and transfer phases are fused, so the
-        ``decision`` bucket includes the transfer application and the
-        ``transfer`` bucket covers only the end-of-round bookkeeping
-        (loyalty streaks, aspiration, pending requests).
-    """
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        behaviors: Sequence[PeerBehavior],
-        groups: Optional[Sequence[str]] = None,
-        seed: Optional[int] = None,
-        profile: bool = False,
-    ):
-        if config.is_variable_population:
-            raise ValueError(
-                "variable-population configs run on "
-                "repro.sim.population.PopulationSimulation; "
-                "use repro.sim.engine.simulate() to dispatch"
-            )
-        self.config = config
-        self._rng = random.Random(seed)
-
-        behaviors = list(behaviors)
-        if len(behaviors) == 1:
-            behaviors = behaviors * config.n_peers
-        if len(behaviors) != config.n_peers:
-            raise ValueError(
-                f"expected 1 or {config.n_peers} behaviors, got {len(behaviors)}"
-            )
-
-        if groups is None:
-            group_labels = ["default"] * config.n_peers
-        else:
-            group_labels = list(groups)
-            if len(group_labels) == 1:
-                group_labels = group_labels * config.n_peers
-            if len(group_labels) != config.n_peers:
-                raise ValueError(
-                    f"expected 1 or {config.n_peers} group labels, got {len(group_labels)}"
-                )
-
-        # Scenario dynamics (waves, shifts, pinned capacities).  ``None``
-        # executes the legacy path untouched — the golden-equivalence suite
-        # relies on every dynamics branch below being strictly gated.
-        dynamics = config.dynamics
-        if dynamics is not None and dynamics.is_trivial():
-            dynamics = None
-        self._dynamics = dynamics
-
-        self._distribution = config.distribution()
-        pinned = dynamics.initial_capacities if dynamics is not None else None
-        self.peers: List[PeerState] = []
-        for peer_id in range(config.n_peers):
-            if pinned is not None:
-                capacity = pinned[peer_id]
-            else:
-                capacity = self._distribution.sample(self._rng)
-            self.peers.append(
-                PeerState(
-                    peer_id=peer_id,
-                    upload_capacity=capacity,
-                    behavior=behaviors[peer_id],
-                    group=group_labels[peer_id],
-                    history=InteractionHistory(max_rounds=config.history_rounds),
-                )
-            )
-        self._peer_ids = [p.peer_id for p in self.peers]
-        self._churn_events = 0
-        self._explicit_refusals = 0
-
-        n = config.n_peers
-        self._n = n
-        # Transfer accounting as flat arrays indexed by peer id.  Lifetime
-        # totals are flushed back onto the PeerState objects at the end of
-        # the run; when there is no warmup they coincide with the measured
-        # (post-warmup) totals and only one pair of arrays is maintained.
-        self._measured_down: List[float] = [0.0] * n
-        self._measured_up: List[float] = [0.0] * n
-        if config.warmup_rounds > 0:
-            self._lifetime_down: List[float] = [0.0] * n
-            self._lifetime_up: List[float] = [0.0] * n
-        else:
-            self._lifetime_down = self._measured_down
-            self._lifetime_up = self._measured_up
-
-        # Precomputed candidate structures.  Peer ids equal list indices and
-        # are stable across churn, so everything derived from identities and
-        # behaviours can be computed once.  Per-peer "all other peers" lists
-        # are never materialised: discovery and request samples are drawn
-        # positionally from the id list, skipping the deciding peer's slot
-        # with the same draws CPython's ``Random.sample`` would have made on
-        # the materialised list (see _round_core.sample_skip).
-        self._behavior_info = [behavior_info(b) for b in behaviors]
-        self._slots_divisor = [max(1, b.total_slots) for b in behaviors]
-        # Direct references to each peer's history round-map.  The dict
-        # object is stable for the whole run: churn clears it in place and
-        # never replaces it.
-        self._rounds_by_pid = [p.history._rounds for p in self.peers]
-        # Lazy loyalty streaks: per peer, the last round each known peer
-        # delivered a positive amount and the length of the current streak.
-        # loyalty_of(c) at round r is streak[c] if last_give[c] == r - 1.
-        self._last_give: List[Dict[int, int]] = [{} for _ in range(n)]
-        self._streak: List[Dict[int, int]] = [{} for _ in range(n)]
-
-        # Behaviour shifts grouped by round, with the per-peer info tuples
-        # precomputed so applying a shift is a few list writes.
-        self._shifts_by_round: Dict[int, list] = {}
-        if dynamics is not None:
-            for shift in dynamics.behavior_shifts:
-                b = shift.behavior
-                self._shifts_by_round.setdefault(shift.round, []).append(
-                    (shift, behavior_info(b), max(1, b.total_slots))
-                )
-
-        self._profile = profile
-        #: Wall-clock seconds per (coarse) round phase, populated when
-        #: ``profile`` — see the constructor docstring for the bucket rules.
-        self.phase_seconds: Dict[str, float] = {
-            "population": 0.0,
-            "decision": 0.0,
-            "transfer": 0.0,
-        }
-
-    # ------------------------------------------------------------------ #
-    # round processing
-    # ------------------------------------------------------------------ #
-    def _run_round(self, round_index: int) -> None:
-        config = self.config
-        peers = self.peers
-        n = self._n
-        rng = self._rng
-        getrandbits = rng.getrandbits
-        behavior_info = self._behavior_info
-        peer_ids = self._peer_ids
-        rounds_by_pid = self._rounds_by_pid
-        last_give = self._last_give
-        streak = self._streak
-        profile = self._profile
-        if profile:
-            tick = perf_counter()
-
-        dynamics = self._dynamics
-        churn_rate = config.churn_rate
-        if dynamics is not None:
-            # Behaviour shifts fire at the start of the round, before churn
-            # and decisions, so the new protocol governs this round.
-            shifts = self._shifts_by_round.get(round_index)
-            if shifts:
-                slots_divisor = self._slots_divisor
-                for shift, info, slots in shifts:
-                    new_behavior = shift.behavior
-                    for pid in shift.peer_ids:
-                        peer = peers[pid]
-                        peer.behavior = new_behavior
-                        if shift.group is not None:
-                            peer.group = shift.group
-                        behavior_info[pid] = info
-                        slots_divisor[pid] = slots
-            extra = dynamics.extra_rate(round_index)
-            if extra > 0.0:
-                churn_rate = min(churn_rate + extra, 1.0 - 1e-9)
-
-        churned: List[int] = []
-        if churn_rate > 0.0:
-            churned = apply_churn(
-                peers,
-                churn_rate,
-                round_index,
-                rng,
-                self._distribution,
-            )
-        if dynamics is not None:
-            fraction = dynamics.correlated_fraction(round_index)
-            if fraction > 0.0:
-                churned = churned + apply_correlated_churn(
-                    peers,
-                    fraction,
-                    round_index,
-                    rng,
-                    self._distribution,
-                    exclude=churned,
-                )
-        if churned:
-            self._churn_events += len(churned)
-            # Mirror the forgetting of departed identities in the lazy
-            # loyalty structures (apply_churn handles history/pending).
-            churned_set = set(churned)
-            for pid in range(n):
-                if pid in churned_set:
-                    last_give[pid].clear()
-                    streak[pid].clear()
-                else:
-                    give_map = last_give[pid]
-                    streak_map = streak[pid]
-                    for gone in churned_set:
-                        if gone in give_map:
-                            del give_map[gone]
-                            del streak_map[gone]
-        if profile:
-            now = perf_counter()
-            self.phase_seconds["population"] += now - tick
-            tick = now
-
-        discovery = config.discovery_per_round
-        requests = config.requests_per_round
-        stranger_cap = config.stranger_bandwidth_cap
-        history_cap = config.history_rounds
-        discovery_size = discovery if discovery < n - 1 else n - 1
-        do_discovery = discovery > 0 and n > 1
-        do_requests = requests > 0 and n > 1
-        single_request = requests == 1
-        # Discovery draws of one or two ids from the n-1 "others" can be
-        # made without copying the population (same draws as _sample's
-        # pool-copy branch, which applies whenever n-1 <= SAMPLE_POOL_COPY_MAX).
-        fast_discovery = (
-            do_discovery and discovery_size <= 2 and n - 1 <= SAMPLE_POOL_COPY_MAX
-        )
-        m1 = n - 1
-        disc_bits1 = m1.bit_length()
-        disc_bits2 = (n - 2).bit_length() if n > 2 else 0
-        explicit_refusals = self._explicit_refusals
-        previous_round = round_index - 1
-
-        # Phase 1: decisions.  Each decision is a sequence of
-        # (targets, amount) groups; targets are unique within a decision by
-        # construction (partners, cooperating strangers and refused
-        # strangers are disjoint) and groups are emitted in the reference
-        # engine's dict insertion order: strangers, partners, refusals.
-        fused = history_cap >= FUSED_HISTORY_MIN
-        decisions: List[List[Tuple[Sequence[int], float]]] = []
-        decisions_append = decisions.append
-        incoming_requests: List[set] = [set() for _ in range(n)]
-        measured_down = self._measured_down
-        measured_up = self._measured_up
-        lifetime_down = self._lifetime_down
-        lifetime_up = self._lifetime_up
-        measuring = round_index >= config.warmup_rounds
-        split_accounting = lifetime_down is not measured_down
-        round_buckets: List[Optional[Dict[int, float]]] = [None] * n
-        for peer in peers:
-            pid = peer.peer_id
-            history_rounds = rounds_by_pid[pid]
-            (
-                window,
-                k,
-                ranking,
-                alloc_policy,
-                s_policy,
-                h,
-                s_period,
-            ) = behavior_info[pid]
-
-            # --- candidate list (C) --------------------------------------- #
-            # Constructed with the reference's exact set operations —
-            # inserting from ``.keys()`` views element-by-element — because
-            # ``set(dict)`` presizes its hash table differently, which
-            # changes set iteration order and hence how the tie-breaking
-            # shuffle permutes the candidate pool.
-            bucket_prev = history_rounds.get(previous_round)
-            candidates: set = set()
-            if window == 1:
-                bucket_old = None
-                if bucket_prev:
-                    candidates.update(bucket_prev.keys())
-            else:
-                bucket_old = history_rounds.get(round_index - 2)
-                if bucket_old:
-                    candidates.update(bucket_old.keys())
-                if bucket_prev:
-                    candidates.update(bucket_prev.keys())
-            if candidates:
-                candidates.discard(pid)
-
-            # --- ranking (I) and partner selection ------------------------ #
-            if candidates:
-                pool = list(candidates)
-                if len(pool) > 1:
-                    # Inline Fisher-Yates (identical draws to Random.shuffle).
-                    for i in range(len(pool) - 1, 0, -1):
-                        m = i + 1
-                        bits = m.bit_length()
-                        j = getrandbits(bits)
-                        while j >= m:
-                            j = getrandbits(bits)
-                        pool[i], pool[j] = pool[j], pool[i]
-                    if k > 0 and ranking != "random":
-                        keys: Dict[int, object] = {}
-                        if ranking == "fastest" or ranking == "slowest":
-                            if window == 1:
-                                for c in pool:
-                                    keys[c] = bucket_prev.get(c, 0.0)
-                            else:
-                                for c in pool:
-                                    total = (
-                                        bucket_old.get(c, 0.0) if bucket_old else 0.0
-                                    )
-                                    if bucket_prev:
-                                        total += bucket_prev.get(c, 0.0)
-                                    keys[c] = total / 2
-                            pool.sort(
-                                key=keys.__getitem__, reverse=ranking == "fastest"
-                            )
-                        elif ranking == "loyal":
-                            give_map = last_give[pid]
-                            streak_map = streak[pid]
-                            if window == 1:
-                                for c in pool:
-                                    keys[c] = (
-                                        -streak_map[c]
-                                        if give_map.get(c) == previous_round
-                                        else 0,
-                                        -bucket_prev.get(c, 0.0),
-                                    )
-                            else:
-                                for c in pool:
-                                    total = (
-                                        bucket_old.get(c, 0.0) if bucket_old else 0.0
-                                    )
-                                    if bucket_prev:
-                                        total += bucket_prev.get(c, 0.0)
-                                    keys[c] = (
-                                        -streak_map[c]
-                                        if give_map.get(c) == previous_round
-                                        else 0,
-                                        -(total / 2),
-                                    )
-                            pool.sort(key=keys.__getitem__)
-                        else:  # proximity / adaptive: distance to a target rate
-                            target_rate = (
-                                peer.upload_capacity / self._slots_divisor[pid]
-                                if ranking == "proximity"
-                                else peer.aspiration
-                            )
-                            if window == 1:
-                                for c in pool:
-                                    keys[c] = abs(
-                                        bucket_prev.get(c, 0.0) - target_rate
-                                    )
-                            else:
-                                for c in pool:
-                                    total = (
-                                        bucket_old.get(c, 0.0) if bucket_old else 0.0
-                                    )
-                                    if bucket_prev:
-                                        total += bucket_prev.get(c, 0.0)
-                                    keys[c] = abs(total / 2 - target_rate)
-                            pool.sort(key=keys.__getitem__)
-                if len(pool) > k:
-                    partners = pool[:k]
-                else:
-                    partners = pool
-                partner_set = set(partners) if partners else ()
-            else:
-                partners = []
-                partner_set = ()
-
-            # --- stranger policy (B) -------------------------------------- #
-            # The discovery sample is always drawn (even when the stranger
-            # policy cannot use it) to keep the random stream identical to
-            # the reference engine.
-            if do_discovery:
-                # The deciding peer's "others" list is the id range with its
-                # own slot removed; draws are mapped past that slot instead
-                # of materialising the list.
-                if fast_discovery:
-                    j = getrandbits(disc_bits1)
-                    while j >= m1:
-                        j = getrandbits(disc_bits1)
-                    first = j if j < pid else j + 1
-                    if discovery_size == 1:
-                        sampled = [first]
-                    else:
-                        m2 = m1 - 1
-                        j2 = getrandbits(disc_bits2)
-                        while j2 >= m2:
-                            j2 = getrandbits(disc_bits2)
-                        if j2 == j:
-                            j2 = m2
-                        sampled = [first, j2 if j2 < pid else j2 + 1]
-                else:
-                    sampled = _sample_skip(
-                        getrandbits, peer_ids, pid, m1, discovery_size
-                    )
-            else:
-                sampled = None
-
-            cooperate: List[int] = []
-            refuse: List[int] = []
-            pending = peer.pending_requests
-            if s_policy == "defect":
-                if pending:
-                    # Only the pending contacts that survive the
-                    # stranger-pool filtering can be refused; sorting keeps
-                    # the reference stranger-pool order.
-                    refuse = sorted(
-                        p
-                        for p in pending
-                        if p not in partner_set and p not in candidates
-                    )
-                    if refuse:
-                        if len(refuse) > 1:
-                            _shuffle(getrandbits, refuse)
-                        cutoff = h if h > 0 else 1
-                        if len(refuse) > cutoff:
-                            del refuse[cutoff:]
-            elif (s_policy == "periodic" and round_index % s_period == 0) or (
-                s_policy == "when_needed" and len(partners) < k
-            ):
-                pool2 = set(pending)
-                if sampled:
-                    pool2.update(sampled)
-                pool2.discard(pid)
-                if partner_set:
-                    pool2.difference_update(partner_set)
-                pool2 -= candidates
-                if pool2:
-                    stranger_pool = sorted(pool2)
-                    requesters = [p for p in stranger_pool if p in pending]
-                    rest = [p for p in stranger_pool if p not in pending]
-                    if len(requesters) > 1:
-                        _shuffle(getrandbits, requesters)
-                    if len(rest) > 1:
-                        _shuffle(getrandbits, rest)
-                    cooperate = requesters + rest
-                    if len(cooperate) > h:
-                        del cooperate[h:]
-
-            # --- allocation (R) ------------------------------------------- #
-            groups: List[Tuple[Sequence[int], float]] = []
-            n_partners = len(partners)
-            n_coop = len(cooperate)
-            active_slots = n_partners + n_coop
-            if active_slots:
-                capacity = peer.upload_capacity
-                per_slot = capacity / active_slots
-                if n_coop:
-                    stranger_budget = per_slot * n_coop
-                    capped = stranger_cap * capacity
-                    if capped < stranger_budget:
-                        stranger_budget = capped
-                    groups.append((cooperate, stranger_budget / n_coop))
-                if n_partners:
-                    if alloc_policy == "equal_split":
-                        groups.append((partners, per_slot))
-                    elif alloc_policy == "freeride":
-                        groups.append((partners, 0.0))
-                    else:  # prop_share
-                        contributions = []
-                        total_contribution = 0.0
-                        for p in partners:
-                            total = bucket_old.get(p, 0.0) if bucket_old else 0.0
-                            if bucket_prev:
-                                total += bucket_prev.get(p, 0.0)
-                            contributions.append(total)
-                            total_contribution += total
-                        if total_contribution <= 0.0:
-                            groups.append((partners, 0.0))
-                        else:
-                            budget = per_slot * n_partners
-                            for p, contribution in zip(partners, contributions):
-                                groups.append(
-                                    ((p,), budget * contribution / total_contribution)
-                                )
-            if refuse:
-                groups.append((refuse, 0.0))
-                explicit_refusals += len(refuse)
-
-            # --- transfers (applied now when fused, else buffered) --------- #
-            if fused:
-                if groups:
-                    apply_transfer_groups(
-                        groups, pid, round_buckets, rounds_by_pid,
-                        round_index, history_cap,
-                        measured_down, measured_up, lifetime_down, lifetime_up,
-                        measuring, split_accounting,
-                    )
-            else:
-                decisions_append(groups)
-
-            # --- discovery / service requests for the next round ----------- #
-            if do_requests:
-                if partner_set:
-                    n_eligible = m1 - len(partner_set)
-                    if n_eligible > 0:
-                        if single_request:
-                            # One draw of randbelow(n_eligible) — identical
-                            # to sampling from the materialised eligible
-                            # list — then map it to the j-th non-partner by
-                            # stepping past the few blocked ids (order
-                            # statistics over the sorted blockers) instead
-                            # of walking the whole id range.
-                            bits = n_eligible.bit_length()
-                            j = getrandbits(bits)
-                            while j >= n_eligible:
-                                j = getrandbits(bits)
-                            blocked = sorted([*partners, pid])
-                            for blocked_id in blocked:
-                                if blocked_id <= j:
-                                    j += 1
-                            incoming_requests[j].add(pid)
-                        else:
-                            eligible = [
-                                q
-                                for q in peer_ids
-                                if q != pid and q not in partner_set
-                            ]
-                            size = (
-                                requests if requests < n_eligible else n_eligible
-                            )
-                            for target in _sample(getrandbits, eligible, size):
-                                incoming_requests[target].add(pid)
-                else:
-                    if single_request:
-                        j = getrandbits(disc_bits1)
-                        while j >= m1:
-                            j = getrandbits(disc_bits1)
-                        incoming_requests[j if j < pid else j + 1].add(pid)
-                    else:
-                        size = requests if requests < m1 else m1
-                        for target in _sample_skip(
-                            getrandbits, peer_ids, pid, m1, size
-                        ):
-                            incoming_requests[target].add(pid)
-
-        self._explicit_refusals = explicit_refusals
-        if profile:
-            now = perf_counter()
-            self.phase_seconds["decision"] += now - tick
-            tick = now
-
-        # Phase 2 (only when not fused): apply the buffered transfers.
-        if not fused:
-            for pid, groups in enumerate(decisions):
-                if groups:
-                    apply_transfer_groups(
-                        groups, pid, round_buckets, rounds_by_pid,
-                        round_index, history_cap,
-                        measured_down, measured_up, lifetime_down, lifetime_up,
-                        measuring, split_accounting,
-                    )
-
-        smoothing = config.aspiration_smoothing
-        keep = 1.0 - smoothing
-        slots_divisor = self._slots_divisor
-        for pid, (peer, bucket) in enumerate(zip(peers, round_buckets)):
-            if bucket:
-                give_map = last_give[pid]
-                streak_map = streak[pid]
-                received = 0.0
-                for sender, amount in bucket.items():
-                    received += amount
-                    if amount > 0.0:
-                        if give_map.get(sender) == previous_round:
-                            streak_map[sender] += 1
-                        else:
-                            streak_map[sender] = 1
-                        give_map[sender] = round_index
-                peer.aspiration = keep * peer.aspiration + smoothing * (
-                    received / slots_divisor[pid]
-                )
-            else:
-                peer.aspiration = keep * peer.aspiration
-            peer.pending_requests = incoming_requests[pid]
-        if profile:
-            self.phase_seconds["transfer"] += perf_counter() - tick
-
-    # ------------------------------------------------------------------ #
-    # public API
-    # ------------------------------------------------------------------ #
-    def run(self) -> SimulationResult:
-        """Execute all rounds and return the :class:`SimulationResult`."""
-        for round_index in range(self.config.rounds):
-            self._run_round(round_index)
-
-        records = []
-        for peer in self.peers:
-            pid = peer.peer_id
-            # Flush lifetime transfer accounting back onto the peer state.
-            peer.total_downloaded = self._lifetime_down[pid]
-            peer.total_uploaded = self._lifetime_up[pid]
-            records.append(
-                PeerRecord(
-                    peer_id=pid,
-                    group=peer.group,
-                    upload_capacity=peer.upload_capacity,
-                    behavior_label=peer.behavior.label(),
-                    downloaded=self._measured_down[pid],
-                    uploaded=self._measured_up[pid],
-                )
-            )
-        return SimulationResult(
-            config=self.config,
-            records=records,
-            rounds_executed=self.config.rounds,
-            churn_events=self._churn_events,
-            total_explicit_refusals=self._explicit_refusals,
-        )
-
-
 # ---------------------------------------------------------------------- #
 # engine dispatch
 # ---------------------------------------------------------------------- #
 #: Engine implementations selectable per run: ``"fast"`` is the optimised
-#: hot path (the default), ``"reference"`` the reference-style escape hatch,
-#: and ``"vec"`` the numpy batch engine for very large swarms.  ``fast`` and
-#: ``reference`` produce bit-identical results — the golden-equivalence and
-#: differential suites enforce it.  ``vec`` samples the same stochastic
+#: population engine (the default), ``"reference"`` its readable spec
+#: (:class:`~repro.sim.population.PopulationSimulation`), and ``"vec"`` the
+#: numpy batch engine for very large swarms.  ``fast`` and ``reference``
+#: produce bit-identical results — the golden-equivalence and differential
+#: suites enforce it.  ``vec`` samples the same stochastic
 #: process with different random draws; the ``tests/statistical/`` harness
 #: pins its distributional equivalence.  The choice therefore never affects
 #: the modelled process (or a result's cache fingerprint), only wall-clock
@@ -937,10 +266,10 @@ def using_engine(engine: Optional[str]):
 
 
 def population_engine_class(engine: Optional[str] = None):
-    """The variable-population engine class the given choice dispatches to.
+    """The engine class the given choice dispatches to, for any config.
 
     This is the single source of the name→class mapping: :func:`simulate`
-    and the CLI ``--profile`` path both resolve through it.
+    and :func:`profiled_simulation` both resolve through it.
     """
     if engine is None:
         engine = default_engine()
@@ -969,30 +298,12 @@ def profiled_simulation(
 ):
     """Construct (not run) a profiling-enabled simulation for ``config``.
 
-    Variable-population configs profile the selected population engine;
-    fixed-population configs profile the optimised fixed engine (``vec``
-    handles both shapes with one implementation).  After ``.run()`` the
+    Every engine profiles every config shape.  After ``.run()`` the
     instance's ``phase_seconds`` holds the per-phase wall-clock table —
     feed it to :func:`repro.sim.profiling.phases_payload` /
     :func:`repro.sim.profiling.render_phases`.
-
-    Raises ``ValueError`` for ``engine="reference"`` on a fixed population:
-    the frozen reference implementation has no profile hooks.
     """
-    if engine is None:
-        engine = default_engine()
-    else:
-        _validate_engine(engine)
-    if config.is_variable_population or engine == "vec":
-        engine_cls = population_engine_class(engine)
-    else:
-        if engine == "reference":
-            raise ValueError(
-                "profiling a fixed-population run needs the optimised "
-                "engine; the frozen reference implementation has no "
-                "profile hooks"
-            )
-        engine_cls = Simulation
+    engine_cls = population_engine_class(engine)
     return engine_cls(config, behaviors, groups=groups, seed=seed, profile=True)
 
 
@@ -1003,48 +314,20 @@ def simulate(
     seed: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> SimulationResult:
-    """Run one simulation on the engine the config calls for.
+    """Run one simulation of ``config`` on the selected engine.
 
-    Fixed-population configs execute on the optimised :class:`Simulation`;
-    configs with non-trivial :class:`~repro.sim.dynamics.PopulationDynamics`
-    execute on the optimised variable-population engine
-    (:class:`~repro.sim.population_fast.FastPopulationSimulation`).
+    ``engine`` (default: :func:`default_engine`) picks the implementation,
+    whatever the config's shape — fixed or variable population, with or
+    without scenario dynamics:
 
-    ``engine="reference"`` (or ``REPRO_SIM_ENGINE=reference`` /
-    :func:`set_default_engine`) routes the run onto the reference
-    implementations instead — the frozen seed engine for fixed populations,
-    :class:`~repro.sim.population.PopulationSimulation` for variable ones.
-    Results are bit-identical either way.
-
-    ``engine="vec"`` routes every config — fixed or variable — onto the
-    numpy batch engine
-    (:class:`~repro.sim.population_vec.VecSimulation`).  Its results are
-    statistically equivalent to the replica engines (same stochastic
-    process, different random draws) rather than bit-identical; the
-    ``tests/statistical/`` harness enforces the envelope.
-
-    Fixed-population configs with non-trivial
-    :class:`~repro.sim.dynamics.ScenarioDynamics` have a single pure-python
-    implementation (the frozen seed snapshot predates scenario dynamics),
-    so they execute on :class:`Simulation` under either replica engine
-    setting — trivially identical, and a mixed reference-engine sweep never
-    aborts halfway through.
+    * ``"fast"`` — :class:`~repro.sim.population_fast.FastPopulationSimulation`;
+    * ``"reference"`` — :class:`~repro.sim.population.PopulationSimulation`,
+      bit-identical to ``fast``;
+    * ``"vec"`` — :class:`~repro.sim.population_vec.VecSimulation`, whose
+      results are statistically equivalent to the replica engines (same
+      stochastic process, different random draws) rather than
+      bit-identical; the ``tests/statistical/`` harness enforces the
+      envelope.
     """
-    if engine is None:
-        engine = default_engine()
-    else:
-        _validate_engine(engine)
-    if engine == "vec":
-        from repro.sim.population_vec import VecSimulation
-
-        return VecSimulation(config, behaviors, groups=groups, seed=seed).run()
-    if config.is_variable_population:
-        engine_cls = population_engine_class(engine)
-        return engine_cls(config, behaviors, groups=groups, seed=seed).run()
-    if engine == "reference" and (
-        config.dynamics is None or config.dynamics.is_trivial()
-    ):
-        from repro.sim.reference import ReferenceSimulation
-
-        return ReferenceSimulation(config, behaviors, groups=groups, seed=seed).run()
-    return Simulation(config, behaviors, groups=groups, seed=seed).run()
+    engine_cls = population_engine_class(engine)
+    return engine_cls(config, behaviors, groups=groups, seed=seed).run()

@@ -1,56 +1,62 @@
-"""The reference variable-population engine (true arrivals/departures).
+"""The reference population engine — the readable spec of the round model.
 
-This module is the **reference implementation** of variable-population
-semantics: it executes the round loop through the live policy modules with
-no micro-optimisation, which makes it the spec the optimised hot path
+This module is the **reference implementation** of the cycle-based round
+model (§4.3.1): it executes the round loop through the live policy modules
+with no micro-optimisation, which makes it the spec the optimised hot path
 (:class:`repro.sim.population_fast.FastPopulationSimulation`) is proven
 bit-identical against by the differential suite.  Production runs dispatch
 to the fast engine; keep this one straightforward and readable.
 
-:class:`PopulationSimulation` executes the same two-phase round loop as the
-fixed-population engine, but over a **mutable active set**: arrivals create
+:class:`PopulationSimulation` runs the two-phase decision/transfer round
+over a **mutable active set**.  A fixed population is the degenerate case:
+replacement churn at ``config.churn_rate`` and no arrivals, optionally with
+:class:`~repro.sim.dynamics.ScenarioDynamics` (churn waves, behaviour
+shifts, pinned initial capacities) on top.  A variable population carries a
+:class:`~repro.sim.dynamics.PopulationDynamics` bundle: arrivals create
 genuinely new identities mid-run (fresh peer ids, empty history, default
 aspiration) and departures in ``"shrink"`` mode remove identities for good —
 survivors forget them, and their final accounting is preserved in the run's
-records.  This replaces the fixed-slot identity-swap churn model wherever a
-scenario needs a population whose *size* changes: growing swarms, flash
-crowds of real newcomers, and Sybil-style whitewashing where departing peers
-re-enter under fresh identities to shed their reputation.
+records.  That covers scenarios whose population *size* changes: growing
+swarms, flash crowds of real newcomers, and Sybil-style whitewashing where
+departing peers re-enter under fresh identities to shed their reputation.
 
 Round structure:
 
-1. **Population step** — departures are drawn per active peer (replacement
-   or true-shrink semantics per the
-   :class:`~repro.sim.dynamics.DepartureProcess`), whitewash rejoins are
-   drawn per departure, and exogenous arrivals (Poisson stream or scheduled
-   flash batch) join, capped by ``max_active``.  New identities participate
-   from this round on.
-2. **Decision phase** — every active peer decides exactly as in the
-   reference engine, via the live policy modules
-   (:mod:`repro.sim.policies`); candidate and discovery structures are
-   rebuilt from the current active set each round.
+1. **Population step** — behaviour shifts scheduled for the round fire
+   first; then departures are drawn per active peer (replacement or
+   true-shrink semantics per the
+   :class:`~repro.sim.dynamics.DepartureProcess`, with independent churn
+   waves added to the replacement rate), correlated waves replace a batch
+   of the remaining peers, whitewash rejoins are drawn per departure, and
+   exogenous arrivals (Poisson stream or scheduled flash batch) join,
+   capped by ``max_active``.  New identities participate from this round
+   on.
+2. **Decision phase** — every active peer decides via the live policy
+   modules (:mod:`repro.sim.policies`); candidate and discovery structures
+   are rebuilt from the current active set each round.
 3. **Transfer phase** — buffered allocations are applied simultaneously,
    then loyalty, aspiration and pending requests are refreshed.
 
 Determinism and equivalence
 ---------------------------
 The engine consumes its single :class:`random.Random` in a pinned order
-(departure draws in active order, whitewash draws in departure order, the
-arrival-count draw, then one capacity draw per admitted arrival, then the
-decision draws), so runs are bit-reproducible per seed for every arrival
-process.  In the **degenerate configuration** — no arrivals, ``"replace"``
-departures — the population step collapses to exactly
-:func:`repro.sim.churn.apply_churn` and the engine makes draw-for-draw the
-same random decisions as the fixed-population engine; the differential
-suite (``tests/sim/test_population_differential.py``) proves the results
-are bit-identical to :class:`repro.sim.engine.Simulation` and therefore to
-the golden :class:`repro.sim.reference.ReferenceSimulation`.
+(initial capacity draws unless pinned; per round, independent departure
+draws in active order, the correlated-wave sample, whitewash draws in
+departure order, the arrival-count draw, then one capacity draw per
+admitted arrival, then the decision draws), so runs are bit-reproducible
+per seed.  On fixed populations the population step collapses to
+:func:`repro.sim.churn.apply_churn` (plus
+:func:`~repro.sim.churn.apply_correlated_churn` for correlated waves), and
+the golden-equivalence suite (``tests/sim/test_engine_equivalence.py``)
+proves the results bit-identical to the frozen seed engine kept under
+``tests/sim/reference.py``.
 
-Unlike fixed-population results, the records of a variable run include
-**every identity that ever existed** (departed identities keep their final
-accounting, so transfer totals balance across population change), each
-labelled with its join-time cohort and the measured rounds it was present —
-the inputs :func:`repro.sim.metrics.compute_cohort_metrics` normalises into
+Fixed-population runs report legacy-shaped records (no cohort or presence
+fields).  The records of a variable run include **every identity that ever
+existed** (departed identities keep their final accounting, so transfer
+totals balance across population change), each labelled with its join-time
+cohort and the measured rounds it was present — the inputs
+:func:`repro.sim.metrics.compute_cohort_metrics` normalises into
 per-peer-round PRA measures comparable across varying population sizes.
 """
 
@@ -61,8 +67,14 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.behavior import PeerBehavior
-from repro.sim.churn import apply_churn, apply_true_departures, sample_poisson
+from repro.sim.churn import (
+    apply_churn,
+    apply_correlated_churn,
+    apply_true_departures,
+    sample_poisson,
+)
 from repro.sim.config import SimulationConfig
+from repro.sim.dynamics import BehaviorShift, DepartureProcess, PopulationDynamics
 from repro.sim.engine import SimulationResult
 from repro.sim.metrics import PeerRecord
 from repro.sim.peer import PeerState
@@ -75,15 +87,30 @@ __all__ = ["PopulationSimulation"]
 
 
 class PopulationSimulation:
-    """A cycle-based simulation over a dynamic peer population.
+    """A cycle-based simulation over a fixed or variable peer population.
 
-    Parameters mirror :class:`repro.sim.engine.Simulation`; ``config`` must
-    carry a :class:`~repro.sim.dynamics.PopulationDynamics` bundle.
-    ``config.n_peers`` is the *initial* population; ``behaviors`` and
-    ``groups`` follow the same one-or-n broadcast convention and describe
-    that initial population.  Arrivals without an explicit
-    behaviour/group override cycle through the initial per-peer pattern, so
-    a heterogeneous mix is preserved as the swarm grows.
+    Parameters
+    ----------
+    config:
+        Run parameters.  Without a non-trivial
+        :class:`~repro.sim.dynamics.PopulationDynamics` bundle the
+        population is fixed: replacement churn at ``config.churn_rate``, no
+        arrivals, plus any :class:`~repro.sim.dynamics.ScenarioDynamics`.
+        With one, ``config.n_peers`` is the *initial* population.
+    behaviors:
+        Either one behaviour per initial peer (``len == n_peers``) or a
+        single behaviour broadcast to the entire initial population.
+        Arrivals without an explicit behaviour/group override cycle through
+        the initial per-peer pattern, so a heterogeneous mix is preserved
+        as the swarm grows.
+    groups:
+        Optional group label per initial peer (same length rules).  PRA
+        encounters label the two sub-populations so their utilities can be
+        compared; homogeneous runs can omit this.
+    seed:
+        Seed of the run's private random generator.
+    profile:
+        Accumulate wall-clock per-phase round timings in ``phase_seconds``.
     """
 
     def __init__(
@@ -94,11 +121,13 @@ class PopulationSimulation:
         seed: Optional[int] = None,
         profile: bool = False,
     ):
-        population = config.population
-        if population is None:
-            raise ValueError(
-                "PopulationSimulation needs a config with population dynamics; "
-                "use repro.sim.engine.Simulation for fixed populations"
+        if config.is_variable_population:
+            population = config.population
+        else:
+            # A fixed population is the degenerate bundle: replacement
+            # departures at the config's churn rate and no arrivals.
+            population = PopulationDynamics(
+                departure=DepartureProcess(rate=config.churn_rate, mode="replace")
             )
         self.config = config
         self._population = population
@@ -127,14 +156,27 @@ class PopulationSimulation:
         self._initial_groups = group_labels
         self._distribution = config.distribution()
 
-        # The initial population, sampled in the same order (and therefore
-        # with the same draws) as the fixed-population engines.
+        # Scenario dynamics (waves, shifts, pinned capacities) only ever
+        # ride on fixed populations: the config forbids them next to a
+        # non-trivial population bundle.
+        dynamics = config.dynamics
+        if dynamics is not None and dynamics.is_trivial():
+            dynamics = None
+        self._dynamics = dynamics
+        pinned = dynamics.initial_capacities if dynamics is not None else None
+
+        # The initial population, one capacity draw per peer in id order
+        # unless the dynamics pin the capacities.
         self._active: List[PeerState] = []
         for peer_id in range(config.n_peers):
             self._active.append(
                 PeerState.spawn(
                     peer_id=peer_id,
-                    upload_capacity=self._distribution.sample(self._rng),
+                    upload_capacity=(
+                        pinned[peer_id]
+                        if pinned is not None
+                        else self._distribution.sample(self._rng)
+                    ),
                     behavior=behaviors[peer_id],
                     group=group_labels[peer_id],
                     joined_round=0,
@@ -161,8 +203,8 @@ class PopulationSimulation:
         self._active_counts: List[int] = []
 
         # The degenerate bundle — no arrivals, replacement departures — is
-        # the legacy churn model; the run then reports a legacy-shaped
-        # result, bit-identical to the fixed-population engine's.
+        # the fixed-population churn model; the run then reports a
+        # legacy-shaped result, bit-identical to the frozen seed engine's.
         self._legacy = (
             population.arrival.is_none() and population.departure.mode == "replace"
         )
@@ -229,6 +271,19 @@ class PopulationSimulation:
             cohort="arrival",
         )
 
+    def _apply_shift(self, shift: BehaviorShift) -> None:
+        """Switch the shift's peers to its behaviour (and group) in place.
+
+        Shifts only exist on fixed populations, where peer ids index
+        ``_all_peers``; identity, history and capacity are kept.
+        """
+        behavior = shift.behavior
+        for pid in shift.peer_ids:
+            peer = self._all_peers[pid]
+            peer.behavior = behavior
+            if shift.group is not None:
+                peer.group = shift.group
+
     def _on_departures(self, departed_ids: List[int]) -> None:
         """Hook: true departures just removed ``departed_ids`` from the
         active set (and any rejoins/arrivals of the round have not spawned
@@ -243,12 +298,13 @@ class PopulationSimulation:
         return max(0, min(requested, cap - len(self._active)))
 
     def _population_step(self, round_index: int) -> Tuple[List[int], List[int]]:
-        """Run departures/rejoins/arrivals; returns ``(churned, departed)`` ids.
+        """Run shifts/departures/rejoins/arrivals; returns ``(churned, departed)``.
 
         ``churned`` are identities reset in place by replacement-mode
-        departures; ``departed`` are identities removed for good by true
-        departures.  The reference round loop ignores the return value; the
-        optimised engine uses it to patch its incremental structures.
+        departures and correlated waves; ``departed`` are identities removed
+        for good by true departures.  The reference round loop ignores the
+        return value; the optimised engine uses it to patch its incremental
+        structures.
         """
         population = self._population
         departure = population.departure
@@ -257,11 +313,22 @@ class PopulationSimulation:
         churned_ids: List[int] = []
         departed_ids: List[int] = []
 
-        if departure.rate > 0.0 or departure.group_rates:
+        dynamics = self._dynamics
+        rate = departure.rate
+        if dynamics is not None:
+            # Behaviour shifts fire at the start of the round, before churn
+            # and decisions, so the new protocol governs this round.
+            for shift in dynamics.shifts_for_round(round_index):
+                self._apply_shift(shift)
+            extra = dynamics.extra_rate(round_index)
+            if extra > 0.0:
+                rate = min(rate + extra, 1.0 - 1e-9)
+
+        if rate > 0.0 or departure.group_rates:
             if departure.mode == "replace":
                 churned_ids = apply_churn(
                     self._active,
-                    departure.rate,
+                    rate,
                     round_index,
                     rng,
                     self._distribution,
@@ -270,7 +337,7 @@ class PopulationSimulation:
             else:
                 departed = apply_true_departures(
                     self._active,
-                    departure.rate,
+                    rate,
                     round_index,
                     rng,
                     min_active=departure.min_active,
@@ -301,6 +368,19 @@ class PopulationSimulation:
                                     round_index=round_index,
                                     cohort="whitewash",
                                 )
+        if dynamics is not None:
+            fraction = dynamics.correlated_fraction(round_index)
+            if fraction > 0.0:
+                batch = apply_correlated_churn(
+                    self._active,
+                    fraction,
+                    round_index,
+                    rng,
+                    self._distribution,
+                    exclude=churned_ids,
+                )
+                self._churn_events += len(batch)
+                churned_ids += batch
 
         if arrival.kind == "poisson":
             if round_index >= arrival.start:
@@ -438,7 +518,7 @@ class PopulationSimulation:
         for peer in self._all_peers:
             pid = peer.peer_id
             if legacy:
-                # Legacy-shaped records: bit-identical to the fixed engine.
+                # Legacy-shaped records: bit-identical to the seed engine.
                 record = PeerRecord(
                     peer_id=pid,
                     group=peer.group,

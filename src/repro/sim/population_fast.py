@@ -1,39 +1,49 @@
-"""The optimised variable-population engine (hot path).
+"""The optimised population engine (the hot path of every replica run).
 
 :class:`FastPopulationSimulation` executes exactly the semantics of the
-reference :class:`repro.sim.population.PopulationSimulation` — true
-arrivals and departures over a mutable active set — with the optimisation
-pattern of the fixed-population hot path
-(:class:`repro.sim.engine.Simulation`) ported onto it:
+reference :class:`repro.sim.population.PopulationSimulation` — fixed
+populations with their scenario dynamics, and true arrivals and departures
+over a mutable active set — optimised as follows:
 
 * the policy logic of :mod:`repro.sim.policies` is inlined into the round
-  loop, with behaviour constants unpacked per identity and the random
-  draws of ``Random.shuffle``/``Random.sample`` generated by the exact
-  inline replicas in :mod:`repro.sim._round_core`;
+  loop, with behaviour constants unpacked per identity (and re-unpacked
+  when a scenario behaviour shift fires) and the random draws of
+  ``Random.shuffle``/``Random.sample`` generated by the exact inline
+  replicas in :mod:`repro.sim._round_core` — crucially the candidate set is
+  still built with the reference's exact set operations, because even the
+  hash-table *layout* of a set (which depends on how it was constructed)
+  determines iteration order and hence how the tie-breaking shuffle
+  permutes the pool;
 * transfer accounting uses flat arrays indexed by peer id (ids are
   allocated densely, so arrays simply grow as identities spawn),
   allocations are applied as grouped ``(targets, amount)`` batches through
   the shared transfer core, and with a history window of three or more
-  rounds transfers are fused into the decision pass;
+  rounds transfers are fused into the decision pass (decisions only ever
+  read rounds ``r-1``/``r-2`` and creating the round-``r`` bucket evicts
+  at most round ``r-3``, so later peers' decisions are unaffected);
 * loyalty streaks are tracked lazily as ``(last giving round, streak)``
   pairs, patched — not rebuilt — when identities churn, depart or arrive;
 * the discovery/candidate structures are maintained **incrementally**: the
   active-id list and the id→position index are patched on arrival (an
   append) and rebuilt only on rounds whose population step actually
-  removed identities — in the degenerate replacement-churn bundle they are
-  never rebuilt at all.  Per-peer "all other peers" lists are never
-  materialised: discovery and request samples are drawn positionally from
-  the active-id list, skipping the deciding peer's slot with the same
-  draws CPython's ``Random.sample`` would have made on the materialised
-  list.
+  removed identities — on fixed populations they are never rebuilt at
+  all.  Per-peer "all other peers" lists are never materialised: discovery
+  and request samples are drawn positionally from the active-id list,
+  skipping the deciding peer's slot with the same draws CPython's
+  ``Random.sample`` would have made on the materialised list;
+* stranger-pool construction and candidate ranking are skipped on rounds
+  where the peer's policy cannot use them (every skipped code path is one
+  that makes no random draw, so the stream stays aligned).
 
-The population step itself (departure draws, whitewash rejoins, Poisson and
-flash arrivals) is inherited from the reference engine, so the two engines
-cannot disagree about population semantics by construction; the decision
-and transfer phases are proven bit-identical by the differential suite
+The population step itself (behaviour shifts, replacement churn and churn
+waves, departure draws, whitewash rejoins, Poisson and flash arrivals) is
+inherited from the reference engine, so the two engines cannot disagree
+about population semantics by construction; the decision and transfer
+phases are proven bit-identical by the differential suite
 (``tests/sim/test_population_differential.py`` runs both engines over the
-same cases, and the hypothesis differential draws random
-:class:`~repro.sim.dynamics.PopulationDynamics` bundles).
+same cases and pins, and the hypothesis differential draws random
+:class:`~repro.sim.dynamics.PopulationDynamics` and
+:class:`~repro.sim.dynamics.ScenarioDynamics` bundles).
 """
 
 from __future__ import annotations
@@ -63,7 +73,12 @@ class FastPopulationSimulation(PopulationSimulation):
 
     Same constructor, same semantics, bit-identical results; only the
     wall-clock differs.  ``profile=True`` accumulates per-phase timings in
-    ``phase_seconds`` (population / decision / transfer).
+    ``phase_seconds`` (population / decision / transfer).  The buckets are
+    coarse by design: with a history window of three or more rounds the
+    decision and transfer phases are fused, so the ``decision`` bucket
+    includes the transfer application and the ``transfer`` bucket covers
+    only the end-of-round bookkeeping (loyalty streaks, aspiration, pending
+    requests).
     """
 
     def __init__(
@@ -91,7 +106,9 @@ class FastPopulationSimulation(PopulationSimulation):
         # object is stable for the identity's whole lifetime (replacement
         # churn clears it in place).
         self._rounds_by_pid = [p.history._rounds for p in self._active]
-        # Lazy loyalty streaks, as in the fixed-population hot path.
+        # Lazy loyalty streaks: per peer, the last round each known peer
+        # delivered a positive amount and the length of the current streak.
+        # loyalty_of(c) at round r is streak[c] if last_give[c] == r - 1.
         self._last_give: List[Dict[int, int]] = [{} for _ in range(n)]
         self._streak: List[Dict[int, int]] = [{} for _ in range(n)]
         self._binfo = [behavior_info(p.behavior) for p in self._active]
@@ -104,6 +121,10 @@ class FastPopulationSimulation(PopulationSimulation):
             pid: i for i, pid in enumerate(self._active_ids)
         }
         self._members_dirty = False
+        # Ids are allocated densely and arrivals append, so until the first
+        # true departure every active id equals its position (always, on a
+        # fixed population) and position lookups can be skipped.
+        self._ids_are_positions = True
         # Persistent per-round bucket cache indexed by peer id.  Only active
         # peers can receive transfers, so resetting the active slots at the
         # end of each round restores the all-None invariant in O(active) —
@@ -113,11 +134,20 @@ class FastPopulationSimulation(PopulationSimulation):
     # ------------------------------------------------------------------ #
     # population step hooks
     # ------------------------------------------------------------------ #
+    def _apply_shift(self, shift):
+        super()._apply_shift(shift)
+        info = behavior_info(shift.behavior)
+        slots = max(1, shift.behavior.total_slots)
+        for pid in shift.peer_ids:
+            self._binfo[pid] = info
+            self._slots_div[pid] = slots
+
     def _on_departures(self, departed_ids):
         # Membership shrank at arbitrary positions: the active-id list and
         # position index are stale until the rebuild at the start of the
         # decision phase, and same-round spawns must not patch them.
         self._members_dirty = True
+        self._ids_are_positions = False
 
     def _spawn(self, capacity, behavior, group, round_index, cohort):
         peer = super()._spawn(capacity, behavior, group, round_index, cohort)
@@ -196,6 +226,7 @@ class FastPopulationSimulation(PopulationSimulation):
         active = self._active
         active_ids = self._active_ids
         pos = self._pos
+        ids_are_positions = self._ids_are_positions
         n = len(active)
         self._active_counts.append(n)
 
@@ -255,8 +286,11 @@ class FastPopulationSimulation(PopulationSimulation):
             ) = binfo[pid]
 
             # --- candidate list (C) --------------------------------------- #
-            # Built with the reference's exact set operations (see
-            # engine.py: the hash-table layout determines shuffle order).
+            # Built with the reference's exact set operations — inserting
+            # from ``.keys()`` views element-by-element — because
+            # ``set(dict)`` presizes its hash table differently, which
+            # changes set iteration order and hence how the tie-breaking
+            # shuffle permutes the candidate pool.
             bucket_prev = history_rounds.get(previous_round)
             candidates: set = set()
             if window == 1:
@@ -484,9 +518,12 @@ class FastPopulationSimulation(PopulationSimulation):
                             j = getrandbits(bits)
                             while j >= n_eligible:
                                 j = getrandbits(bits)
-                            blocked = [pos[p] for p in partners]
-                            blocked.append(idx)
-                            blocked.sort()
+                            if ids_are_positions:
+                                blocked = sorted([*partners, idx])
+                            else:
+                                blocked = [pos[p] for p in partners]
+                                blocked.append(idx)
+                                blocked.sort()
                             for blocked_idx in blocked:
                                 if blocked_idx <= j:
                                     j += 1

@@ -171,10 +171,9 @@ def _broadcast(values: Sequence, n: int, what: str) -> list:
 class VecSimulation:
     """One simulation run executed as whole-round numpy batch operations.
 
-    Parameters mirror :class:`repro.sim.engine.Simulation` /
-    :class:`repro.sim.population.PopulationSimulation`: ``behaviors`` and
-    ``groups`` follow the one-or-n broadcast convention over the initial
-    population, ``seed`` pins the run's random draws (numpy ``Generator``
+    Parameters mirror :class:`repro.sim.population.PopulationSimulation`:
+    ``behaviors`` and ``groups`` follow the one-or-n broadcast convention
+    over the initial population, ``seed`` pins the run's random draws (numpy ``Generator``
     for array draws plus a ``random.Random`` for capacity sampling — runs
     are bit-reproducible per seed *within this engine*, but not against the
     replica engines; see the module docstring), and ``profile`` accumulates

@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 #: Canonical engine phases, in pipeline order.  Engines may emit any subset
-#: (the fixed engine fuses decision+transfer for long history windows) and
+#: (the fast engine fuses decision+transfer for long history windows) and
 #: may refine them with dotted sub-phases; reporting orders known phases
 #: first and appends unknown names alphabetically.
 CANONICAL_PHASES = ("churn", "decision", "allocation", "transfer", "metrics")

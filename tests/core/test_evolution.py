@@ -99,6 +99,23 @@ class TestImitationDynamics:
         b = ImitationDynamics([bittorrent_reference(), freerider()], config).run()
         assert a.final_shares() == b.final_shares()
 
+    def test_generations_run_on_the_selected_engine(self, config, monkeypatch):
+        """Each generation dispatches through simulate(), so --engine holds."""
+        from repro.sim.engine import using_engine
+        from repro.sim.population_vec import VecSimulation
+
+        runs = []
+        original_run = VecSimulation.run
+
+        def spy(self):
+            runs.append(self.config)
+            return original_run(self)
+
+        monkeypatch.setattr(VecSimulation, "run", spy)
+        with using_engine("vec"):
+            ImitationDynamics([bittorrent_reference(), freerider()], config).run()
+        assert runs == [config.sim] * config.generations
+
 
 class TestEvolutionaryStability:
     def test_cooperator_resists_freerider_invasion(self, config):

@@ -299,12 +299,19 @@ class TestCliEngineAndProfile:
         for phase in ("churn", "decision", "transfer", "ms/round"):
             assert phase in output
 
-    def test_fixed_profile_rejects_reference_engine(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["scenario", "flash-crowd", "--scale", "smoke",
-                 "--engine", "reference", "--profile"]
-            )
+    def test_fixed_profile_runs_on_reference_engine(self, capsys):
+        """Every engine profiles fixed-population scenarios too."""
+        assert main(
+            ["scenario", "flash-crowd", "--scale", "smoke",
+             "--engine", "reference", "--profile"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "engine reference" in output
+        assert "(fixed)" in output
+        # The reference engine runs its phases separately: no fused label.
+        assert "[fused decision+transfer]" not in output
+        for phase in ("churn", "decision", "transfer"):
+            assert phase in output
 
 
 class TestCliSwarmSubstrate:

@@ -36,10 +36,10 @@ def make_job(seed: int = 0, rounds: int = 6, **config_changes) -> SimulationJob:
 
 class TestSimulationJob:
     def test_execute_matches_direct_simulation(self):
-        from repro.sim.engine import Simulation
+        from repro.sim.population_fast import FastPopulationSimulation
 
         job = make_job(seed=42)
-        direct = Simulation(
+        direct = FastPopulationSimulation(
             job.config, list(job.behaviors), groups=None, seed=42
         ).run()
         assert job.execute().records == direct.records

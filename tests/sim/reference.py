@@ -1,12 +1,14 @@
 """Golden reference implementation of the cycle-based simulation engine.
 
 This module is a **frozen, self-contained snapshot** of the seed engine
-(:mod:`repro.sim.engine` plus the seed versions of the history container and
-the four policy functions) taken immediately before the hot-path optimisation
-pass.  It exists for one purpose: the golden-equivalence test suite
-(``tests/sim/test_engine_equivalence.py``) runs :class:`ReferenceSimulation`
-and the optimised :class:`repro.sim.engine.Simulation` on identical seeds and
-asserts bit-identical :class:`~repro.sim.engine.SimulationResult` outputs.
+(the seed's fixed-population round loop plus the seed versions of the
+history container and the four policy functions) taken immediately before
+the hot-path optimisation pass.  It is a test oracle, not a runtime engine:
+the golden-equivalence test suite (``tests/sim/test_engine_equivalence.py``)
+runs :class:`ReferenceSimulation` and the population engines
+(:mod:`repro.sim.population_fast`, :mod:`repro.sim.population`) on
+fixed-population configs with identical seeds and asserts bit-identical
+:class:`~repro.sim.engine.SimulationResult` outputs.
 
 Because of that role this module deliberately does **not** import the live
 policy modules or :class:`~repro.sim.history.InteractionHistory` — any future
@@ -322,9 +324,9 @@ def _allocate_upload(
 class ReferenceSimulation:
     """The seed engine, verbatim: slow, simple and trusted.
 
-    Constructor signature and :meth:`run` mirror
-    :class:`repro.sim.engine.Simulation` exactly; given the same
-    ``(config, behaviors, groups, seed)`` the two must produce bit-identical
+    Constructor signature and :meth:`run` mirror the population engines'
+    (less ``profile``); given the same fixed-population
+    ``(config, behaviors, groups, seed)`` they must produce bit-identical
     :class:`~repro.sim.engine.SimulationResult` values.
     """
 

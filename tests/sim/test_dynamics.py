@@ -11,7 +11,7 @@ from repro.sim.behavior import PeerBehavior
 from repro.sim.churn import apply_correlated_churn
 from repro.sim.config import SimulationConfig
 from repro.sim.dynamics import BehaviorShift, ChurnWave, ScenarioDynamics
-from repro.sim.engine import Simulation
+from repro.sim.engine import simulate
 from repro.sim.history import InteractionHistory
 from repro.sim.peer import PeerState
 
@@ -185,8 +185,8 @@ class TestEngineDynamics:
     def test_trivial_dynamics_is_bit_identical_to_none(self):
         base = SimulationConfig(n_peers=10, rounds=15, churn_rate=0.05)
         with_trivial = base.with_(dynamics=ScenarioDynamics())
-        plain = Simulation(base, [PeerBehavior()], seed=11).run()
-        gated = Simulation(with_trivial, [PeerBehavior()], seed=11).run()
+        plain = simulate(base, [PeerBehavior()], seed=11)
+        gated = simulate(with_trivial, [PeerBehavior()], seed=11)
         assert plain.records == gated.records
         assert plain.churn_events == gated.churn_events
 
@@ -197,8 +197,8 @@ class TestEngineDynamics:
             rounds=16,
             dynamics=ScenarioDynamics(initial_capacities=capacities),
         )
-        sim = Simulation(config, [PeerBehavior()], seed=0)
-        assert tuple(p.upload_capacity for p in sim.peers) == capacities
+        result = simulate(config, [PeerBehavior()], seed=0)
+        assert tuple(r.upload_capacity for r in result.records) == capacities
 
     def test_correlated_wave_churns_exact_batch(self):
         config = SimulationConfig(
@@ -208,7 +208,7 @@ class TestEngineDynamics:
                 churn_waves=(ChurnWave(start=5, rounds=1, intensity=0.5, correlated=True),)
             ),
         )
-        result = Simulation(config, [PeerBehavior()], seed=2).run()
+        result = simulate(config, [PeerBehavior()], seed=2)
         assert result.churn_events == 5
 
     def test_independent_wave_raises_churn(self):
@@ -219,7 +219,7 @@ class TestEngineDynamics:
                 churn_waves=(ChurnWave(start=0, rounds=40, intensity=0.3),)
             ),
         )
-        result = Simulation(config, [PeerBehavior()], seed=3).run()
+        result = simulate(config, [PeerBehavior()], seed=3)
         # Expect roughly 0.3 * 16 * 40 = 192 churn events; far above zero.
         assert result.churn_events > 100
 
@@ -233,7 +233,7 @@ class TestEngineDynamics:
         config = SimulationConfig(
             n_peers=8, rounds=20, dynamics=ScenarioDynamics(behavior_shifts=(shift,))
         )
-        result = Simulation(config, [PeerBehavior()], seed=5).run()
+        result = simulate(config, [PeerBehavior()], seed=5)
         shifted = [r for r in result.records if r.peer_id in (0, 1)]
         assert all(r.group == "freerider" for r in shifted)
         assert all(r.behavior_label == PeerBehavior.free_rider().label() for r in shifted)
@@ -248,8 +248,8 @@ class TestEngineDynamics:
         shifted_config = config.with_(
             dynamics=ScenarioDynamics(behavior_shifts=(shift,))
         )
-        baseline = Simulation(config, [PeerBehavior()], seed=7).run()
-        shifted = Simulation(shifted_config, [PeerBehavior()], seed=7).run()
+        baseline = simulate(config, [PeerBehavior()], seed=7)
+        shifted = simulate(shifted_config, [PeerBehavior()], seed=7)
         base_up = next(r for r in baseline.records if r.peer_id == 0).uploaded
         shift_up = next(r for r in shifted.records if r.peer_id == 0).uploaded
         assert 0.0 < shift_up < base_up
@@ -273,8 +273,8 @@ class TestEngineDynamics:
                 ),
             ),
         )
-        first = Simulation(config, [PeerBehavior()], seed=9).run()
-        second = Simulation(config, [PeerBehavior()], seed=9).run()
+        first = simulate(config, [PeerBehavior()], seed=9)
+        second = simulate(config, [PeerBehavior()], seed=9)
         assert first.records == second.records
         assert first.churn_events == second.churn_events
 
@@ -371,7 +371,7 @@ class TestPopulationDynamicsTypes:
                 departure=DepartureProcess(rate=0.1, mode="replace"),
             )
         # Replacement departures blend identities per slot; they are only
-        # the degenerate no-arrival bridge to the fixed engine.
+        # the fixed-population churn model, which has no arrivals.
         with pytest.raises(ValueError):
             PopulationDynamics(
                 arrival=ArrivalProcess(kind="poisson", rate=0.5),

@@ -1,11 +1,15 @@
 """Golden-equivalence suite: optimised engine vs frozen reference engine.
 
-The optimised :class:`repro.sim.engine.Simulation` inlines the policy logic
-and restructures the round loop for speed; these tests prove it reproduces
-the seed engine's outputs **bit-identically** on fixed seeds.  The reference
-is :class:`repro.sim.reference.ReferenceSimulation`, a self-contained frozen
-snapshot of the seed implementation — any engine or policy change that
-perturbs a single random draw or float operation fails here.
+The fast population engine
+(:class:`repro.sim.population_fast.FastPopulationSimulation`, the default
+of :func:`repro.sim.engine.simulate`) inlines the policy logic and
+restructures the round loop for speed; these tests prove it reproduces the
+seed engine's outputs **bit-identically** on fixed-population configs and
+fixed seeds.  The oracle is :class:`tests.sim.reference.ReferenceSimulation`,
+a self-contained frozen snapshot of the seed implementation — any engine or
+policy change that perturbs a single random draw or float operation fails
+here.  ``test_population_differential.py`` holds the reference population
+engine to the same oracle.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from repro.core.protocol import (
 )
 from repro.sim.behavior import PeerBehavior
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulation
-from repro.sim.reference import ReferenceSimulation
+from repro.sim.engine import simulate
+
+from tests.sim.reference import ReferenceSimulation
 
 #: Protocol variants covering every ranking function, every stranger policy
 #: and every allocation policy at least once (well beyond the required five).
@@ -86,7 +91,7 @@ def assert_identical_results(result, reference):
 def test_homogeneous_equivalence(variant, seed):
     behavior = VARIANTS[variant]
     config = SimulationConfig(n_peers=12, rounds=30)
-    optimised = Simulation(config, [behavior], seed=seed).run()
+    optimised = simulate(config, [behavior], seed=seed, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=seed).run()
     assert_identical_results(optimised, reference)
 
@@ -97,7 +102,7 @@ def test_churn_and_warmup_equivalence(variant):
     config = SimulationConfig(
         n_peers=10, rounds=25, churn_rate=0.05, warmup_rounds=5
     )
-    optimised = Simulation(config, [behavior], seed=11).run()
+    optimised = simulate(config, [behavior], seed=11, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=11).run()
     assert_identical_results(optimised, reference)
 
@@ -119,7 +124,7 @@ def test_encounter_equivalence(pair):
     config = SimulationConfig(n_peers=10, rounds=20)
     behaviors = [behavior_a] * 5 + [behavior_b] * 5
     groups = ["A"] * 5 + ["B"] * 5
-    optimised = Simulation(config, behaviors, groups, seed=3).run()
+    optimised = simulate(config, behaviors, groups, seed=3, engine="fast")
     reference = ReferenceSimulation(config, behaviors, groups, seed=3).run()
     assert_identical_results(optimised, reference)
     assert optimised.group_mean_download("A") == reference.group_mean_download("A")
@@ -132,7 +137,7 @@ def test_no_discovery_no_requests_equivalence():
         n_peers=8, rounds=20, requests_per_round=0, discovery_per_round=0
     )
     behavior = VARIANTS["bittorrent"]
-    optimised = Simulation(config, [behavior], seed=5).run()
+    optimised = simulate(config, [behavior], seed=5, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=5).run()
     assert_identical_results(optimised, reference)
 
@@ -142,7 +147,7 @@ def test_tight_stranger_cap_equivalence():
         n_peers=12, rounds=25, discovery_per_round=3, stranger_bandwidth_cap=0.2
     )
     behavior = VARIANTS["periodic_slow_propshare"]
-    optimised = Simulation(config, [behavior], seed=17).run()
+    optimised = simulate(config, [behavior], seed=17, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=17).run()
     assert_identical_results(optimised, reference)
 
@@ -152,7 +157,7 @@ def test_two_round_history_equivalence(variant):
     """history_rounds=2 forces the engine's buffered (non-fused) phase-2 path."""
     config = SimulationConfig(n_peers=10, rounds=25, history_rounds=2)
     behavior = VARIANTS[variant]
-    optimised = Simulation(config, [behavior], seed=13).run()
+    optimised = simulate(config, [behavior], seed=13, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=13).run()
     assert_identical_results(optimised, reference)
 
@@ -162,7 +167,7 @@ def test_paper_scale_population_equivalence(variant):
     """n_peers=50 exercises random.sample's selection-set branch (n > 21)."""
     config = SimulationConfig(n_peers=50, rounds=12)
     behavior = VARIANTS[variant]
-    optimised = Simulation(config, [behavior], seed=23).run()
+    optimised = simulate(config, [behavior], seed=23, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=23).run()
     assert_identical_results(optimised, reference)
 
@@ -173,6 +178,6 @@ def test_many_requests_and_discoveries_equivalence():
         n_peers=14, rounds=20, requests_per_round=4, discovery_per_round=5
     )
     behavior = VARIANTS["loyal_when_needed"]
-    optimised = Simulation(config, [behavior], seed=29).run()
+    optimised = simulate(config, [behavior], seed=29, engine="fast")
     reference = ReferenceSimulation(config, [behavior], seed=29).run()
     assert_identical_results(optimised, reference)

@@ -1,22 +1,29 @@
-"""Differential suite: variable-population engines vs fixed-population engine.
+"""Differential suite: the population engines vs the frozen seed engine.
 
-Two halves, mirroring the tentpole guarantee:
+Three parts:
 
-1. **Degenerate equivalence** — with no arrivals and departures in
-   ``"replace"`` mode, the variable-population engines must reproduce the
-   optimised fixed-population engine (and therefore the golden reference it
-   is proven against) **bit-for-bit**, across every case of the
-   golden-equivalence suite.  The comparison includes the full serialised
-   result payload, so a single diverging random draw or float operation
-   fails here.
+1. **Fixed-population equivalence** — every case of the golden-equivalence
+   suite, run on the fixed config as given *and* on its explicit variable
+   twin (no arrivals, departures in ``"replace"`` mode), must reproduce the
+   frozen seed engine (:mod:`tests.sim.reference`) **bit-for-bit**.  The
+   comparison includes the full serialised result payload, so a single
+   diverging random draw or float operation fails here.
 
-2. **Pinned variable-count runs** — six genuinely variable configurations
+2. **Pinned scenario-dynamics runs** — six fixed-population configs with
+   :class:`~repro.sim.dynamics.ScenarioDynamics` (overlapping independent
+   and correlated waves, behaviour shifts with group relabels, pinned
+   capacities under churn, a two-round history window, a warmup window,
+   a wider swarm) are pinned by the SHA-256 of their serialised result
+   payloads.  The pins were taken from the retired fixed-population
+   engine, which was the only replica implementation of these dynamics
+   before the population engines took them over.
+
+3. **Pinned variable-count runs** — six genuinely variable configurations
    (growth, capped growth, flash arrivals, pure shrink, whitewashing, and
-   a mixed-group encounter under growth) are pinned by the SHA-256 of
-   their serialised result payloads.  Any intentional change to the
-   variable engines' draw order or semantics must update these pins.
+   a mixed-group encounter under growth) are pinned the same way.
 
-Every case runs on **both** variable-population engines — the reference
+Any intentional change to the engines' draw order or semantics must update
+these pins.  Every case runs on **both** replica engines — the reference
 :class:`~repro.sim.population.PopulationSimulation` and the optimised
 :class:`~repro.sim.population_fast.FastPopulationSimulation` — via the
 ``engine_cls`` fixture, so the optimised hot path is held to exactly the
@@ -33,15 +40,24 @@ import json
 import pytest
 
 from repro.runner.jobs import result_to_payload
+from repro.sim.bandwidth import TwoClassBandwidth
 from repro.sim.config import SimulationConfig
-from repro.sim.dynamics import ArrivalProcess, DepartureProcess, PopulationDynamics
-from repro.sim.engine import Simulation, simulate
+from repro.sim.dynamics import (
+    ArrivalProcess,
+    BehaviorShift,
+    ChurnWave,
+    DepartureProcess,
+    PopulationDynamics,
+    ScenarioDynamics,
+)
+from repro.sim.engine import simulate
 from repro.sim.population import PopulationSimulation
 from repro.sim.population_fast import FastPopulationSimulation
 
+from tests.sim.reference import ReferenceSimulation
 from tests.sim.test_engine_equivalence import VARIANTS, assert_identical_results
 
-#: Both variable-population engines, held to identical behaviour.
+#: Both replica engines, held to identical behaviour.
 POPULATION_ENGINES = {
     "reference": PopulationSimulation,
     "fast": FastPopulationSimulation,
@@ -50,7 +66,7 @@ POPULATION_ENGINES = {
 
 @pytest.fixture(params=sorted(POPULATION_ENGINES))
 def engine_cls(request):
-    """The variable-population engine class under test."""
+    """The replica engine class under test."""
     return POPULATION_ENGINES[request.param]
 
 
@@ -58,8 +74,8 @@ def as_variable_twin(config: SimulationConfig) -> SimulationConfig:
     """The variable-population twin of a fixed-population config.
 
     ``churn_rate`` becomes a replacement-mode :class:`DepartureProcess` at
-    the same rate with no arrivals — the degenerate bundle the variable
-    engine must execute exactly like the legacy churn model.
+    the same rate with no arrivals — the degenerate bundle every fixed
+    config is executed as.
     """
     return config.with_(
         churn_rate=0.0,
@@ -81,7 +97,11 @@ def assert_bit_identical(variable_result, fixed_result):
 
 
 def run_both(engine_cls, config, behaviors, groups=None, seed=None):
-    fixed = Simulation(config, behaviors, groups, seed=seed).run()
+    """``(twin run, oracle run)``; the config as given must match too."""
+    fixed = ReferenceSimulation(config, behaviors, groups, seed=seed).run()
+    direct = engine_cls(config, behaviors, groups, seed=seed).run()
+    assert direct.config is config
+    assert_bit_identical(direct, fixed)
     variable = engine_cls(
         as_variable_twin(config), behaviors, groups, seed=seed
     ).run()
@@ -89,7 +109,7 @@ def run_both(engine_cls, config, behaviors, groups=None, seed=None):
 
 
 # ---------------------------------------------------------------------- #
-# half 1: the golden-equivalence cases, replayed differentially
+# part 1: the golden-equivalence cases, replayed differentially
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("seed", [0, 7])
@@ -171,7 +191,7 @@ def test_many_requests_and_discoveries_differential(engine_cls):
 
 
 def test_simulate_dispatches_by_population():
-    """simulate() routes variable configs off the fixed engine (and back)."""
+    """simulate() runs both config shapes; only variable runs report counts."""
     fixed_config = SimulationConfig(n_peers=8, rounds=16)
     variable_config = fixed_config.with_(
         population=PopulationDynamics(
@@ -179,8 +199,6 @@ def test_simulate_dispatches_by_population():
             departure=DepartureProcess(rate=0.02),
         )
     )
-    with pytest.raises(ValueError):
-        Simulation(variable_config, [VARIANTS["bittorrent"]], seed=1)
     fixed = simulate(fixed_config, [VARIANTS["bittorrent"]], seed=1)
     variable = simulate(variable_config, [VARIANTS["bittorrent"]], seed=1)
     assert fixed.active_counts is None
@@ -188,13 +206,149 @@ def test_simulate_dispatches_by_population():
     assert len(variable.active_counts) == variable_config.rounds
 
 
-# ---------------------------------------------------------------------- #
-# half 2: variable-count runs pinned by result fingerprint
-# ---------------------------------------------------------------------- #
 def _payload_digest(result) -> str:
     blob = json.dumps(result_to_payload(result), sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
+
+# ---------------------------------------------------------------------- #
+# part 2: scenario-dynamics runs pinned by result fingerprint
+# ---------------------------------------------------------------------- #
+def _dynamics_case(name):
+    """``name -> (config, behaviors, groups, seed)`` for the pinned runs."""
+    bittorrent = VARIANTS["bittorrent"]
+    if name == "overlapping-waves":
+        dynamics = ScenarioDynamics(
+            churn_waves=(
+                ChurnWave(start=4, rounds=10, intensity=0.08),
+                ChurnWave(start=8, rounds=6, intensity=0.12),
+                ChurnWave(start=10, rounds=3, intensity=0.25, correlated=True),
+                ChurnWave(start=11, rounds=4, intensity=0.2, correlated=True),
+            ),
+        )
+        config = SimulationConfig(
+            n_peers=12, rounds=30, churn_rate=0.02, dynamics=dynamics
+        )
+        return config, [bittorrent], None, 31
+    if name == "shift-relabel":
+        # Peer 0 shifts twice: relabelled at round 0, then back to
+        # BitTorrent (keeping its new label) mid-run.
+        dynamics = ScenarioDynamics(
+            behavior_shifts=(
+                BehaviorShift(
+                    round=0, peer_ids=(0, 4, 7),
+                    behavior=VARIANTS["none_freeride"], group="riders",
+                ),
+                BehaviorShift(
+                    round=12, peer_ids=(1, 2, 8),
+                    behavior=VARIANTS["defect_propshare_adaptive"],
+                    group="defectors",
+                ),
+                BehaviorShift(round=12, peer_ids=(0,), behavior=bittorrent),
+            ),
+        )
+        config = SimulationConfig(
+            n_peers=10, rounds=25, churn_rate=0.03, dynamics=dynamics
+        )
+        behaviors = [bittorrent] * 5 + [VARIANTS["loyal_when_needed"]] * 5
+        groups = ["A"] * 5 + ["B"] * 5
+        return config, behaviors, groups, 37
+    if name == "pinned-capacities-churn":
+        dynamics = ScenarioDynamics(
+            initial_capacities=tuple(float(20 + 15 * i) for i in range(14))
+        )
+        config = SimulationConfig(
+            n_peers=14, rounds=25, churn_rate=0.06, dynamics=dynamics,
+            bandwidth=TwoClassBandwidth(30.0, 300.0, 0.25),
+        )
+        return config, [VARIANTS["sort_s"]], None, 41
+    if name == "two-round-history":
+        dynamics = ScenarioDynamics(
+            churn_waves=(
+                ChurnWave(start=5, rounds=4, intensity=0.15),
+                ChurnWave(start=7, rounds=2, intensity=0.3, correlated=True),
+            ),
+            behavior_shifts=(
+                BehaviorShift(
+                    round=10, peer_ids=(3, 5),
+                    behavior=VARIANTS["periodic_slow_propshare"],
+                ),
+            ),
+        )
+        config = SimulationConfig(
+            n_peers=10, rounds=24, history_rounds=2, churn_rate=0.02,
+            dynamics=dynamics,
+        )
+        return config, [VARIANTS["defect_propshare_adaptive"]], None, 43
+    if name == "warmup":
+        dynamics = ScenarioDynamics(
+            initial_capacities=tuple(float(40 + 5 * i) for i in range(12)),
+            churn_waves=(
+                ChurnWave(start=3, rounds=3, intensity=0.5, correlated=True),
+                ChurnWave(start=9, rounds=5, intensity=0.1),
+            ),
+            behavior_shifts=(
+                BehaviorShift(
+                    round=8, peer_ids=(2, 6, 10), behavior=VARIANTS["birds"],
+                    group="late",
+                ),
+            ),
+        )
+        config = SimulationConfig(
+            n_peers=12, rounds=26, warmup_rounds=6, dynamics=dynamics
+        )
+        return config, [bittorrent], None, 47
+    if name == "wide-swarm":
+        # n - 1 > 21 takes random.sample's selection-set branch.
+        dynamics = ScenarioDynamics(
+            churn_waves=(
+                ChurnWave(start=2, rounds=4, intensity=0.1, correlated=True),
+                ChurnWave(start=3, rounds=5, intensity=0.05),
+            ),
+            behavior_shifts=(
+                BehaviorShift(
+                    round=6, peer_ids=tuple(range(0, 30, 3)),
+                    behavior=VARIANTS["random_ranking"], group="shifted",
+                ),
+            ),
+        )
+        config = SimulationConfig(
+            n_peers=30, rounds=14, churn_rate=0.01, requests_per_round=2,
+            discovery_per_round=3, dynamics=dynamics,
+        )
+        behaviors = [VARIANTS["when_needed_no_partners"], bittorrent] * 15
+        return config, behaviors, None, 53
+    raise KeyError(name)
+
+
+#: case -> sha256 prefix of the serialised result payload, computed on the
+#: retired fixed-population engine before the population engines took over
+#: scenario dynamics.  Update only for an intentional semantic change.
+GOLDEN_DYNAMICS = {
+    "overlapping-waves": "33ddf645f5665cc5",
+    "shift-relabel": "141d17e186fc72b6",
+    "pinned-capacities-churn": "2ad4753c38724ec1",
+    "two-round-history": "caf65db6fcef9902",
+    "warmup": "02bd5957cea67a8f",
+    "wide-swarm": "87f038fa5eab4d06",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DYNAMICS))
+def test_dynamics_run_pinned_by_fingerprint(engine_cls, name):
+    config, behaviors, groups, seed = _dynamics_case(name)
+    result = engine_cls(config, behaviors, groups, seed=seed).run()
+    assert _payload_digest(result).startswith(GOLDEN_DYNAMICS[name])
+    # The caller's config comes back untouched, and the record shape is
+    # the fixed-population one.
+    assert result.config is config
+    assert result.active_counts is None
+    assert len(result.records) == config.n_peers
+
+
+# ---------------------------------------------------------------------- #
+# part 3: variable-count runs pinned by result fingerprint
+# ---------------------------------------------------------------------- #
 
 def _variable_case(name):
     """``name -> (config, behaviors, groups, seed)`` for the pinned runs."""

@@ -1,18 +1,20 @@
-"""Differential tests: optimised vs reference variable-population engine.
+"""Differential tests: optimised vs reference population engine.
 
-The pinned-fingerprint and degenerate-equivalence cases run on both engines
-in ``test_population_differential.py``; this module adds the parts specific
-to the two-engine architecture:
+The pinned-fingerprint and fixed-population equivalence cases run on both
+engines in ``test_population_differential.py``; this module adds the parts
+specific to the two-engine architecture:
 
 * a **hypothesis differential** — randomly drawn
-  :class:`~repro.sim.dynamics.PopulationDynamics` bundles, behaviour mixes
+  :class:`~repro.sim.dynamics.PopulationDynamics` bundles or fixed
+  populations with random churn and
+  :class:`~repro.sim.dynamics.ScenarioDynamics` bundles, behaviour mixes
   and seeds, with the full serialised result payloads of
   :class:`~repro.sim.population_fast.FastPopulationSimulation` and
   :class:`~repro.sim.population.PopulationSimulation` compared for
   equality (bit-identity, not tolerance);
 * the positional-skip sampler's draw-equivalence with ``Random.sample``;
 * :func:`repro.sim.engine.simulate` dispatch: fast by default, the
-  ``reference`` escape hatch via argument, :func:`set_default_engine` and
+  ``reference`` engine via argument, :func:`set_default_engine` and
   the ``REPRO_SIM_ENGINE`` environment variable — with the engine choice
   provably absent from the job fingerprint (results are interchangeable,
   so cached entries must be too);
@@ -29,7 +31,14 @@ from hypothesis import strategies as st
 
 from repro.runner.jobs import SimulationJob, result_to_payload
 from repro.sim.config import SimulationConfig
-from repro.sim.dynamics import ArrivalProcess, DepartureProcess, PopulationDynamics
+from repro.sim.dynamics import (
+    ArrivalProcess,
+    BehaviorShift,
+    ChurnWave,
+    DepartureProcess,
+    PopulationDynamics,
+    ScenarioDynamics,
+)
 from repro.sim.engine import (
     ENGINE_CHOICES,
     ENV_ENGINE,
@@ -39,9 +48,9 @@ from repro.sim.engine import (
 )
 from repro.sim.population import PopulationSimulation
 from repro.sim.population_fast import FastPopulationSimulation, _sample_skip
-from repro.sim.reference import ReferenceSimulation
 
 from tests.property.test_property_population import behaviors, population_dynamics
+from tests.sim.reference import ReferenceSimulation
 from tests.sim.test_engine_equivalence import VARIANTS
 
 
@@ -56,25 +65,82 @@ def pristine_engine():
 # ---------------------------------------------------------------------- #
 # hypothesis differential: fast engine vs reference engine
 # ---------------------------------------------------------------------- #
-differential_runs = st.builds(
-    lambda n, rounds, dynamics, behavior, warmup, seed: (
-        SimulationConfig(
-            n_peers=n, rounds=rounds, warmup_rounds=warmup, population=dynamics
+@st.composite
+def churn_waves(draw, rounds: int):
+    """One independent or correlated wave inside the run."""
+    correlated = draw(st.booleans())
+    return ChurnWave(
+        start=draw(st.integers(min_value=0, max_value=rounds - 1)),
+        rounds=draw(st.integers(min_value=1, max_value=5)),
+        intensity=draw(
+            st.floats(min_value=0.05, max_value=1.0 if correlated else 0.6)
         ),
-        behavior,
-        seed,
-    ),
-    n=st.integers(min_value=4, max_value=12),
-    rounds=st.integers(min_value=5, max_value=20),
-    dynamics=population_dynamics(),
-    behavior=behaviors,
-    warmup=st.integers(min_value=0, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
+        correlated=correlated,
+    )
+
+
+@st.composite
+def scenario_dynamics(draw, n_peers: int, rounds: int):
+    """A random ScenarioDynamics bundle: waves, shifts, pinned capacities."""
+    capacities = draw(
+        st.none()
+        | st.lists(
+            st.floats(min_value=5.0, max_value=400.0),
+            min_size=n_peers,
+            max_size=n_peers,
+        ).map(tuple)
+    )
+    shifts = draw(
+        st.lists(
+            st.builds(
+                BehaviorShift,
+                round=st.integers(min_value=0, max_value=rounds - 1),
+                peer_ids=st.sets(
+                    st.integers(min_value=0, max_value=n_peers - 1),
+                    min_size=1,
+                    max_size=n_peers,
+                ).map(lambda ids: tuple(sorted(ids))),
+                behavior=behaviors,
+                group=st.sampled_from([None, "shifted", "colluder"]),
+            ),
+            max_size=3,
+        )
+    )
+    return ScenarioDynamics(
+        initial_capacities=capacities,
+        churn_waves=tuple(draw(st.lists(churn_waves(rounds), max_size=3))),
+        behavior_shifts=tuple(shifts),
+    )
+
+
+@st.composite
+def differential_runs(draw):
+    """``(config, behavior, seed)``: a variable population, or a fixed one
+    with random churn and scenario dynamics."""
+    n = draw(st.integers(min_value=4, max_value=12))
+    rounds = draw(st.integers(min_value=5, max_value=20))
+    if draw(st.booleans()):
+        shape = {"population": draw(population_dynamics())}
+    else:
+        shape = {
+            "churn_rate": draw(st.floats(min_value=0.0, max_value=0.1)),
+            "dynamics": draw(scenario_dynamics(n, rounds)),
+        }
+    config = SimulationConfig(
+        n_peers=n,
+        rounds=rounds,
+        warmup_rounds=draw(st.integers(min_value=0, max_value=4)),
+        **shape,
+    )
+    return (
+        config,
+        draw(behaviors),
+        draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
 
 
 class TestFastEngineDifferential:
-    @given(differential_runs)
+    @given(differential_runs())
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_reference_engine(self, run):
         """Random bundles, seeds and behaviours: full payloads must match."""
@@ -85,7 +151,7 @@ class TestFastEngineDifferential:
         assert fast.active_counts == reference.active_counts
         assert fast.churn_events == reference.churn_events
 
-    @given(differential_runs, st.sampled_from(sorted(VARIANTS)))
+    @given(differential_runs(), st.sampled_from(sorted(VARIANTS)))
     @settings(max_examples=30, deadline=None)
     def test_bit_identical_on_mixed_groups(self, run, variant_name):
         """Two-group encounters under random dynamics must also match."""
@@ -168,7 +234,7 @@ class TestEngineDispatch:
         assert default_engine() == "fast"
 
     def test_reference_dispatch_for_fixed_population(self):
-        """Fixed configs route onto the frozen seed engine."""
+        """Reference-engine fixed runs equal the frozen seed oracle."""
         config = SimulationConfig(n_peers=8, rounds=12)
         behavior = VARIANTS["bittorrent"]
         via_simulate = simulate(config, [behavior], seed=5, engine="reference")
@@ -176,7 +242,7 @@ class TestEngineDispatch:
         assert result_to_payload(via_simulate) == result_to_payload(direct)
 
     def test_reference_engine_is_total_over_scenario_dynamics(self):
-        """Dynamics configs have one implementation; both settings run it.
+        """Both replica engines run ScenarioDynamics configs identically.
 
         A reference-engine sweep over a mixed scenario grid must not abort
         on the fixed-population scenarios that carry ScenarioDynamics.
