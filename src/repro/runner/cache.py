@@ -148,7 +148,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, separators=(",", ":"))
+                # One C-encoded string: ``json.dump`` streams through the
+                # pure-Python iterencode path: same bytes, ~3x the time.
+                handle.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp_name, path)
         except BaseException:
             # Cover *any* OSError from the unlink, not just a missing file:

@@ -156,18 +156,22 @@ class SimulationJob:
 # ---------------------------------------------------------------------- #
 #: Most peers one vec batch steps at once (simulations x peers each).
 #: Sits at or past the knee of the per-simulation cost curve measured by
-#: ``benchmarks/vec_batch_curve.py`` (40 rounds; 2-vCPU x86_64, Python
-#: 3.11, numpy 2.4), in ms per simulation by total peers in the batch:
+#: ``benchmarks/vec_batch_curve.py`` (40 rounds, best of 7; 2-vCPU x86_64,
+#: Python 3.11, numpy 2.4), in ms per simulation by total peers in the
+#: batch:
 #:
-#:   peers per simulation    alone   1024 peers   ~2048   ~4096
-#:   16                       18.8          5.3     5.0     5.0
-#:   50                       35.3          9.0     7.9     6.7
-#:   200                      46.2         26.2    21.6    18.8
+#:   peers per simulation    alone   ~1024   ~2048   ~4096   ~8192   12800
+#:   16                       23.9    2.10    1.48    1.31    1.36    1.37
+#:   50                       22.5    4.65    4.78    4.50    4.18    4.13
+#:   200                      36.8   19.6    16.7    15.5    14.3    13.7
 #:
-#: and flat to 12800 peers.  Past the knee the per-simulation random draws
-#: (one generator call per simulation per draw site) dominate, so larger
-#: batches only hold more state, which grows linearly in peers.  Sizes
-#: other than these three are interpolated, not measured.
+#: At 16 peers (the paper's bench size) the curve is flat past ~2048; at
+#: 50 and 200 peers, batches three times larger buy another 8-11% for
+#: three times the batch's state memory.  Past the knee the per-simulation
+#: random draws (one generator call per simulation per draw site and
+#: column) dominate, so larger batches mostly hold more state, which grows
+#: linearly in peers.  Sizes other than these three are interpolated, not
+#: measured.
 VEC_BATCH_PEERS = 4096
 
 

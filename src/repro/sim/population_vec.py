@@ -47,6 +47,18 @@ small swarm sizes (16-50 peers); :func:`repro.runner.jobs.execute_jobs`
 forms the batches.  Variable-population configs run one simulation per
 instance.
 
+Sampling without redraws
+------------------------
+Discovery and request targets are drawn by exact positional sampling:
+per row and column, one uniform index ``j`` over the positions still
+eligible, as ``floor(u * high)`` of one ``Generator.random`` draw, mapped
+to the ``j``-th eligible position (:func:`_kth_free` past the row itself
+and its earlier columns, then a sorted skip past the row's partners).
+Every draw site therefore makes exactly one draw call per simulation per
+column, whatever the pools look like — no rejection rounds, no fallback
+stream — and that fixed call pattern is what keeps each simulation's
+stream in solo-run order inside a batch.
+
 State layout
 ------------
 All per-peer state lives in dense peer-id-indexed arrays (capacity,
@@ -119,10 +131,6 @@ _COHORT_LABELS = ("initial", "arrival", "whitewash")
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _EMPTY_F = np.empty(0, dtype=np.float64)
 
-#: Vectorised rejection-sampling rounds before falling back to the exact
-#: per-row python path (only ever reached on pathologically small pools).
-_MAX_RESAMPLE_ROUNDS = 64
-
 #: Peer-pair edges are keyed as ``(a << 32) | b``.  Peer ids stay far below
 #: 2**31, so the packing is collision-free, order-preserving per ``a``, and
 #: independent of the current id bound — sorted key arrays stay valid as
@@ -152,6 +160,27 @@ def _group_offsets(counts: np.ndarray) -> np.ndarray:
     offsets[0] = 0
     np.cumsum(counts[:-1], out=offsets[1:])
     return offsets
+
+
+def _kth_free(j: np.ndarray, free: List[np.ndarray]) -> np.ndarray:
+    """Per row, the ``j``-th value not blocked; then block it.
+
+    ``free`` holds one array per blocked value of each row: ``free[i][r]``
+    counts the unblocked values below row ``r``'s ``i``-th blocked value
+    (the blocked values themselves are never needed, nor their order).  A
+    blocked value lies below the ``j``-th unblocked one exactly when its
+    count is ``<= j``, so the answer is ``j`` plus the number of such
+    counts.  Blocking the answer lowers the count of every blocked value
+    above it by one, and the answer's own count is ``j``: ``free`` is
+    updated to that in place.
+    """
+    value = j.copy()
+    for i, counts in enumerate(free):
+        passed = counts <= j
+        value += passed
+        free[i] = counts - ~passed
+    free.append(j)
+    return value
 
 
 #: One simulation of a batch: ``(behaviors, groups, seed)`` with the same
@@ -536,33 +565,22 @@ class VecSimulation:
 
     def _uniform(self, owners: np.ndarray) -> np.ndarray:
         """One uniform ``[0, 1)`` draw per owner."""
-        if self._batch == 1:
-            return self._rngs[0].random(owners.size)
         parts = [
             rng.random(count)
             for rng, count in zip(self._rngs, self._sim_counts(owners))
             if count
         ]
+        if len(parts) == 1:
+            return parts[0]
         return np.concatenate(parts) if parts else _EMPTY_F
 
-    def _positions(self, owners: np.ndarray, n: int) -> np.ndarray:
-        """One uniform active position of the owner's own simulation each.
+    def _indices(self, owners: np.ndarray, high) -> np.ndarray:
+        """One uniform integer in ``[0, high)`` per owner (``high`` >= 1).
 
-        ``n`` is the per-simulation active count; simulation ``b``'s draws
-        are ``integers(0, n)`` shifted by its position offset ``b * n``.
+        ``floor(u * high)`` of a :meth:`_uniform` draw: ``u <= 1 - 2**-53``,
+        so the rounded product stays below any ``high < 2**53``.
         """
-        if self._batch == 1:
-            return self._rngs[0].integers(0, n, size=owners.size)
-        parts = [
-            rng.integers(0, n, size=count)
-            for rng, count in zip(self._rngs, self._sim_counts(owners))
-            if count
-        ]
-        if not parts:
-            return _EMPTY_I
-        draw = np.concatenate(parts)
-        draw += owners - owners % n
-        return draw
+        return (self._uniform(owners) * high).astype(np.int64)
 
     def _sample_capacities(self, owners: np.ndarray) -> np.ndarray:
         """One upload capacity per owner from the bandwidth distribution."""
@@ -743,23 +761,19 @@ class VecSimulation:
     def _sample_others(self, rows: np.ndarray, size: int, n: int) -> np.ndarray:
         """Per row, ``size`` distinct positions of its simulation, not the row.
 
-        ``n`` is the per-simulation active count.  Column-by-column
-        rejection resampling: each accepted column value is uniform over
-        the remaining eligible positions, which is exactly sampling
-        without replacement.
+        ``n`` is the per-simulation active count.  Column ``c`` draws one
+        index uniform over the ``n - 1 - c`` positions still free (not the
+        row, not an earlier column) and takes that free position
+        (:func:`_kth_free`), which is exactly sampling without replacement.
+        Positions are global, so each simulation's counts are offset by its
+        first position.
         """
+        first = rows - rows % n
+        free = [rows]  # the row itself is the one blocked position
         out = np.empty((rows.size, size), dtype=np.int64)
         for column in range(size):
-            draw = self._positions(rows, n)
-            while True:
-                bad = draw == rows
-                if column:
-                    bad |= (draw[:, None] == out[:, :column]).any(axis=1)
-                redo = np.nonzero(bad)[0]
-                if redo.size == 0:
-                    break
-                draw[redo] = self._positions(rows[redo], n)
-            out[:, column] = draw
+            j = first + self._indices(rows, n - 1 - column)
+            out[:, column] = _kth_free(j, free)
         return out
 
     def _draw_requests(
@@ -774,66 +788,51 @@ class VecSimulation:
         Each peer requests ``requests_per_round`` distinct targets drawn
         uniformly from the active peers of its simulation (``n`` per
         simulation) that are neither itself nor one of its current
-        partners.  Pairs come back grouped by simulation.
+        partners.  A draw is an index among the non-partner positions,
+        mapped past the row's earlier targets and itself
+        (:func:`_kth_free`), then past its partners.  Pairs come back
+        grouped by requester, so by simulation.
         """
         requests = self.config.requests_per_round
         eligible = (n - 1) - n_partners
         rows = np.nonzero(eligible > 0)[0]
         if rows.size == 0:
             return _EMPTY_I, _EMPTY_I
-        targets: List[np.ndarray] = []
-        requesters: List[np.ndarray] = []
         quota = np.minimum(requests, eligible[rows])
-        max_quota = int(quota.max())
-        chosen = np.full((rows.size, max_quota), -1, dtype=np.int64)
-        for column in range(max_quota):
-            live = np.nonzero(quota > column)[0]
-            if live.size == 0:
-                break
-            row_locals = rows[live]
-            draw = self._positions(row_locals, n)
-            for _ in range(_MAX_RESAMPLE_ROUNDS):
-                bad = draw == row_locals
-                bad |= _member(
-                    _pair_keys(ids[row_locals], ids[draw]), partner_keys
-                )
-                if column:
-                    bad |= (draw[:, None] == chosen[live, :column]).any(axis=1)
-                redo = np.nonzero(bad)[0]
-                if redo.size == 0:
-                    break
-                draw[redo] = self._positions(row_locals[redo], n)
-            else:
-                # Tiny eligible pools: finish the stragglers exactly.
-                partner_set = set(partner_keys.tolist())
-                for local_idx in np.nonzero(bad)[0]:
-                    row_local = int(row_locals[local_idx])
-                    sim = row_local // n
-                    taken = set(chosen[live[local_idx], :column].tolist())
-                    options = [
-                        t
-                        for t in range(sim * n, (sim + 1) * n)
-                        if t != row_local
-                        and t not in taken
-                        and (int(ids[row_local]) << _KEY_SHIFT)
-                        | int(ids[t]) not in partner_set
-                    ]
-                    draw[local_idx] = self._py_rngs[sim].choice(options)
-            chosen[live, column] = draw
-            targets.append(ids[draw])
-            requesters.append(ids[row_locals])
-        if not targets:
-            return _EMPTY_I, _EMPTY_I
-        target = np.concatenate(targets)
-        requester = np.concatenate(requesters)
-        if self._batch > 1:
-            # Column-major pairs interleave the simulations; regroup them
-            # (stably, keeping each simulation's solo-run order) so later
-            # per-simulation draws over pending pairs see contiguous slices.
-            order = np.argsort(requester // self._n, kind="stable")
-            target = target[order]
-            requester = requester[order]
-        return target, requester
+
+        # Partners in position space: ``partner_keys`` is grouped by row
+        # and, since active ids ascend, sorted by position within a row,
+        # so ``skip[k]`` (target minus its rank in the row) counts the
+        # non-partner positions below partner ``k`` — the partners' side
+        # of :func:`_kth_free`'s counts.
+        size = n_partners.size
+        row_of = np.repeat(self._iota[:size], n_partners)
+        target = self._pos[partner_keys & _KEY_MASK]
+        below = np.bincount(row_of[target < row_of], minlength=size)
+        skip = target + np.repeat(_group_offsets(n_partners), n_partners)
+        skip -= np.arange(partner_keys.size, dtype=np.int64)
+        # The row itself, counted among its non-partner positions.
+        free = [rows - below[rows]]
+
+        first = rows - rows % n
+        chosen = np.empty((rows.size, int(quota.max())), dtype=np.int64)
+        live = np.arange(rows.size)
+        at_row = np.empty(size, dtype=np.int64)
+        for column in range(chosen.shape[1]):
+            if column:
+                keep = quota[live] > column
+                live = live[keep]
+                free = [counts[keep] for counts in free]
+            row = rows[live]
+            j = first[live] + self._indices(row, eligible[row] - column)
+            j = _kth_free(j, free)
+            # Then past the partners: one step per partner counted ``<= j``.
+            at_row[row] = j
+            passed = row_of[skip <= at_row[row_of]]
+            j += np.bincount(passed, minlength=size)[row]
+            chosen[live, column] = j
+        targets = chosen[np.arange(chosen.shape[1]) < quota[:, None]]
+        return ids[targets], ids[np.repeat(rows, quota)]
 
     def _select(
         self,

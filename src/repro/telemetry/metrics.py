@@ -180,7 +180,7 @@ class MetricsRegistry:
         fd, tmp_name = tempfile.mkstemp(dir=root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self.snapshot(writer), handle, separators=(",", ":"))
+                handle.write(json.dumps(self.snapshot(writer), separators=(",", ":")))
             os.replace(tmp_name, target)
         except BaseException:
             try:

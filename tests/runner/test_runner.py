@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.protocol import bittorrent_reference, sort_s
@@ -15,6 +17,7 @@ from repro.runner import (
     set_default_runner,
     using_runner,
 )
+from repro.runner.jobs import result_to_payload
 from repro.sim.bandwidth import ConstantBandwidth, EmpiricalBandwidth
 from repro.sim.config import SimulationConfig
 
@@ -226,6 +229,14 @@ class TestExperimentRunner:
         expected = tmp_path / fingerprint[:2] / f"{fingerprint}.json"
         assert expected.is_file()
         assert len(runner.cache) == 1
+
+    def test_cache_file_is_the_compact_json_of_the_payload(self, tmp_path):
+        runner = ExperimentRunner(cache_dir=tmp_path)
+        job = make_job(seed=6)
+        result = runner.run_one(job)
+        stored = runner.cache.path_for(job.fingerprint()).read_bytes()
+        expected = json.dumps(result_to_payload(result), separators=(",", ":"))
+        assert stored == expected.encode("utf-8")
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         runner = ExperimentRunner(cache_dir=tmp_path)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core.space import DesignSpace
 from repro.runner import jobs as jobs_module
 from repro.runner.jobs import SimulationJob, execute_jobs, result_to_payload
-from repro.sim import population_vec
 from repro.sim.bandwidth import UniformBandwidth
 from repro.sim.config import SimulationConfig
 from repro.sim.dynamics import (
@@ -140,16 +139,6 @@ def test_scenario_dynamics_batches_are_byte_identical(data, case):
     config, batch = case
     order = data.draw(st.permutations(range(len(batch))))
     assert_batch_identity(config, batch, order)
-
-
-@settings(max_examples=10, deadline=None)
-@given(data=st.data(), case=batches())
-def test_request_fallback_draws_stay_per_simulation(data, case):
-    """One rejection round forces the exact ``random.Random`` fallback."""
-    config, batch = case
-    order = data.draw(st.permutations(range(len(batch))))
-    with mock.patch.object(population_vec, "_MAX_RESAMPLE_ROUNDS", 1):
-        assert_batch_identity(config, batch, order)
 
 
 @settings(max_examples=10, deadline=None)

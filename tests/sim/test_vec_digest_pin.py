@@ -11,11 +11,13 @@ these runs; the statistical thresholds were calibrated on them.
 Update a digest only for an intentional change to the vec engine's
 semantics or draw order (it also invalidates every cached vec result).
 
-The digests were taken on numpy 2.4 (Python 3.11).  numpy does not promise
-that ``Generator`` streams or float reductions stay bit-identical across
-releases (NEP 19), so the pins skip on any other numpy major.minor rather
-than fail for a reason outside this code base; CI runs them on a pinned
-numpy 2.4.
+The digests were taken on numpy 2.4 (Python 3.11).  They were last
+re-taken when rejection-sampled discovery and request targets gave way to
+exact positional sampling (one uniform draw per row and column).  numpy
+does not promise that ``Generator`` streams or float reductions stay
+bit-identical across releases (NEP 19), so the pins skip on any other
+numpy major.minor rather than fail for a reason outside this code base;
+CI runs them on a pinned numpy 2.4.
 """
 
 from __future__ import annotations
@@ -152,24 +154,24 @@ PINNED_NUMPY = (2, 4)
 #: case -> sha256 of the ``result_to_payload`` JSON of its single run.
 GOLDEN_VEC = {
     "homogeneous-fixed": (
-        "2ecc09b8873409fb72ed7b555c6b7d0b"
-        "b135c9b7d03824c0e0b8405cf2e9d5e9"
+        "70911f1563b64a7111c6206cd61de843"
+        "559a5f2b6cd61da18b61f7b7f9356480"
     ),
     "two-group-encounter": (
-        "ca017c8712d670efdd23755a3c087ae2"
-        "5251e5786f1965b39d72686fd100b965"
+        "0de80b716aef0722209442cfbab0e5be"
+        "465f7e02c2c15091fd3d4bda29bd1f3c"
     ),
     "churn": (
-        "6d7ca12d2340c6a7def7141f5f17c01c"
-        "8d5eb0163226c83adadaae72b01afa10"
+        "c2649bef1a5a03ac6085621912ef430f"
+        "1e937c7295a9f20cdca7aecdf1447d5b"
     ),
     "scenario-dynamics": (
-        "fc85e6cb51b98e7f7066fcf546e3c29f"
-        "589b30c70a04d5e92888e0423f2a4b5c"
+        "8d9fef8141cd1b5dee972b2940420b92"
+        "4a61f24fb919ccfcfd26b5f8dc562cec"
     ),
     "variable-arrivals": (
-        "26b7760e97ba78ee9d216dd292eddfec"
-        "b5045e2cf2a081b32abb49678e946452"
+        "cd386fb02bdc2537adf49bade4eb322c"
+        "83b978ecd8b74a590be3c327d035b926"
     ),
 }
 

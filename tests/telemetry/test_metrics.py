@@ -111,6 +111,16 @@ class TestRegistryAndSnapshots:
         (snapshot,) = read_snapshots(tmp_path)
         assert snapshot["counters"]["n"] == 2.0
 
+    def test_snapshot_file_is_the_compact_json_of_the_snapshot(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.inc("n", 3)
+        registry.observe("execute_seconds", 0.25)
+        snapshot = registry.snapshot("w")
+        registry.snapshot = lambda writer: snapshot
+        path = registry.write_snapshot(tmp_path, "w")
+        expected = json.dumps(snapshot, separators=(",", ":"))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_torn_snapshot_is_skipped(self, tmp_path):
         MetricsRegistry().write_snapshot(tmp_path, "good")
         (tmp_path / "metrics-bad.json").write_text('{"cou', encoding="utf-8")
